@@ -13,18 +13,18 @@ GO ?= go
 BENCH_SMOKE = Phase1LP|WorkspaceReuse|PoolThroughput|List$$|ListReference/layered
 
 # The benchmarks the CI regression gate fails on (>25% ns/op growth vs the
-# previous push's baseline): the phase-1 LP scenarios — including the PR-5
-# additions that pin the devex/preprocessing/segment-formulation speedups
-# (layered_n500_m32 and erdos_n500_m48 on the segment route,
-# layered_n1000_m64 and layered_n2000_m64 on the lazy dual-restart route) —
-# the phase-2 profile scheduler scenarios, and the serving paths — both
-# the v1 solve/cache path (BenchmarkServe) and the v2 delta re-solve path
-# (BenchmarkServeDelta, whose delta_warm/delta_cold counters benchgate
-# shows next to the timings). Deliberately excludes the micro-benchmarks
-# (Phase2List at 27us would gate on scheduler jitter).
+# previous push's baseline): the phase-1 LP scenarios — auto-routed
+# layered_n500_m32 and erdos_n500_m48 (min-cut), the deep_n400_m64 pair
+# (auto vs the lazy pin), and layered_n1000_m64 and layered_n2000_m64 on
+# the lazy dual-restart route — the phase-2 profile scheduler scenarios,
+# and the serving paths — both the v1 solve/cache path (BenchmarkServe)
+# and the v2 delta re-solve path (BenchmarkServeDelta, whose
+# delta_warm/delta_cold counters benchgate shows next to the timings).
+# Deliberately excludes the micro-benchmarks (Phase2List at 27us would
+# gate on scheduler jitter).
 BENCH_KEY = BenchmarkPhase1LP/|BenchmarkList/|BenchmarkServe/|BenchmarkServeDelta/
 
-.PHONY: all build test race bench bench-json bench-gate chaos cover lint lint-selftest staticcheck govulncheck fuzz-smoke ci testdata
+.PHONY: all build test race bench-module bench bench-json bench-gate chaos cover lint lint-selftest staticcheck govulncheck fuzz-smoke ci testdata
 
 all: build
 
@@ -36,6 +36,12 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# The end-to-end benchmark lives in its own module (perfbench/), which the
+# root `./...` patterns skip: vet and test it here, so an internal API
+# change that breaks it fails CI instead of the next benchmark run.
+bench-module:
+	cd perfbench && $(GO) vet . && $(GO) test .
 
 # The CI smoke job runs the same benchmarks with -benchtime=1x; locally the
 # default benchtime gives stable numbers.
@@ -139,7 +145,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFormulation$$' -fuzztime=10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzQuantize$$' -fuzztime=10s .
 
-ci: lint lint-selftest staticcheck govulncheck build race
+ci: lint lint-selftest staticcheck govulncheck build race bench-module
 	$(GO) test -run '^$$' -bench '$(BENCH_SMOKE)' -benchtime=1x -benchmem .
 
 # Regenerate the canned instances under testdata/ (families x machine sizes

@@ -146,7 +146,7 @@ func BenchmarkEndToEnd(b *testing.B) {
 type phase1Scenario struct {
 	name string
 	n, m int
-	dag  string // "erdos" or "layered"
+	dag  string // "erdos", "layered" (width 20) or "deep" (width 2)
 	p    float64
 	seed int64
 	// force pins the phase-1 formulation ("" = the production auto
@@ -157,18 +157,23 @@ type phase1Scenario struct {
 var phase1Scenarios = []phase1Scenario{
 	{"erdos_n24_m8", 24, 8, "erdos", 0.2, 9, ""}, // the historical small scenario
 	{"layered_n200_m16", 200, 16, "layered", 0, 9, ""},
-	// Routes through the segment-variable formulation (segment mass in
-	// the mid window; see internal/allot/segment.go).
-	{"layered_n500_m32", 500, 32, "layered", 0, 9, allot.FormulationSegment},
+	// Past the min-cut threshold: auto routes both to the sweep.
+	{"layered_n500_m32", 500, 32, "layered", 0, 9, ""},
 	// Dense random precedence at scale: the scenario where transitive
 	// reduction (internal/prep) pays — ~2/3 of its arcs are implied.
-	{"erdos_n500_m48", 500, 48, "erdos", 0.03, 9, allot.FormulationSegment},
-	// Above the segment window: the lazy-cut loop with dual restarts.
+	{"erdos_n500_m48", 500, 48, "erdos", 0.03, 9, ""},
+	// A deep DAG past the threshold: auto takes the sweep, whose
+	// breakpoint count grows with depth, while the lazy pin is several
+	// times faster (EXPERIMENTS.md E17). The pair records the router's
+	// misroute until routing looks at depth.
+	{"deep_n400_m64", 400, 64, "deep", 0, 9, ""},
+	{"deep_n400_m64_lazy", 400, 64, "deep", 0, 9, allot.FormulationLazy},
+	// The lazy-cut loop with dual restarts at scale.
 	{"layered_n1000_m64", 1000, 64, "layered", 0, 9, allot.FormulationLazy},
 	{"layered_n2000_m64", 2000, 64, "layered", 0, 9, allot.FormulationLazy},
 	// The parametric min-cut sweep on the ISSUE-5 headline scenario
 	// (auto now routes it here; the pin keeps the measurement stable
-	// against router retunes), and the scale the simplex paths never
+	// against router retunes), and the scale the lazy simplex never
 	// reached.
 	{"layered_n2000_m64_mincut", 2000, 64, "layered", 0, 9, allot.FormulationMincut},
 	{"layered_n10000_m64", 10000, 64, "layered", 0, 9, ""},
@@ -181,6 +186,8 @@ func (sc phase1Scenario) build() *allot.Instance {
 	case "layered":
 		w := 20
 		g = gen.Layered(sc.n/w, w, 3, rng)
+	case "deep":
+		g = gen.Layered(sc.n/2, 2, 3, rng)
 	default:
 		g = gen.ErdosDAG(sc.n, sc.p, rng)
 	}
@@ -207,6 +214,43 @@ func BenchmarkPhase1LP(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// E17: each phase-1 engine pinned on deep DAGs (chains, width-2 layered)
+// and wide ones (width-8 layered, Erdős p=0.3) at n=100–400 and
+// m=16/32/64 — the grid behind the lazy/min-cut split. Local only: run
+// with -bench Phase1Shapes -benchtime=5x.
+func BenchmarkPhase1Shapes(b *testing.B) {
+	for _, fam := range []string{"layered2", "layered8", "erdos0.3", "chain"} {
+		for _, n := range []int{100, 200, 400} {
+			for _, m := range []int{16, 32, 64} {
+				rng := rand.New(rand.NewSource(int64(1000*n + m)))
+				var g *dag.DAG
+				switch fam {
+				case "layered2":
+					g = gen.Layered(n/2, 2, 3, rng)
+				case "layered8":
+					g = gen.Layered(n/8, 8, 3, rng)
+				case "erdos0.3":
+					g = gen.ErdosDAG(n, 0.3, rng)
+				default:
+					g = gen.Chain(n)
+				}
+				in := gen.Instance(g, gen.FamilyMixed, m, rng)
+				for _, f := range []allot.Formulation{allot.FormulationLazy, allot.FormulationMincut} {
+					b.Run(fmt.Sprintf("%s_n%d_m%d/%s", fam, n, m, f), func(b *testing.B) {
+						ws := solver.NewWorkspace()
+						ws.LP().ForceFormulation = f
+						for i := 0; i < b.N; i++ {
+							if _, err := allot.SolveLPWith(ws.Reduce(in), ws.LP()); err != nil {
+								b.Fatal(err)
+							}
+						}
+					})
+				}
+			}
+		}
 	}
 }
 

@@ -24,6 +24,7 @@ import (
 	"os"
 	"time"
 
+	"malsched"
 	"malsched/internal/allot"
 	"malsched/internal/baseline"
 	"malsched/internal/bruteforce"
@@ -42,13 +43,18 @@ func main() {
 	exact := flag.Bool("exact", false, "run the brute-force exact study instead")
 	phase1 := flag.Bool("phase1", false, "run the phase-1 LP scaling study instead")
 	phase1max := flag.Int("phase1max", 2000, "largest task count for -phase1")
-	phase1form := flag.String("phase1formulation", "", "pin the -phase1 formulation: lazy, segment, mincut or dense (empty = auto routing)")
+	phase1form := flag.String("phase1formulation", "", "pin the -phase1 formulation: lazy, mincut or dense (empty = auto routing)")
 	n := flag.Int("n", 24, "tasks per instance (approximate)")
 	workers := flag.Int("workers", 0, "solver workers (0 = GOMAXPROCS)")
 	flag.Parse()
 
 	if *phase1 {
-		phase1Study(*seed, *phase1max, *phase1form)
+		form, err := malsched.ParseFormulation(*phase1form)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+			os.Exit(2)
+		}
+		phase1Study(*seed, *phase1max, form)
 		return
 	}
 	pool := engine.New(*workers)
@@ -65,12 +71,12 @@ func main() {
 // Each row reports the warm-workspace solve time, the model size, which
 // formulation solved the row (pinned, or the router's pick), and that
 // formulation's effort counters — lazy cuts and separation rounds on the
-// simplex routes, sweep breakpoints and flow augmentations on mincut.
-func phase1Study(seed int64, nmax int, formulation string) {
+// lazy route, sweep breakpoints and flow augmentations on mincut.
+func phase1Study(seed int64, nmax int, formulation malsched.Formulation) {
 	fmt.Println("phase-1 LP scaling")
 	fmt.Println("n\tm\tedges\tformulation\ttime\tcuts\trounds\tC*")
 	ws := allot.NewWorkspace()
-	ws.ForceFormulation = allot.Formulation(formulation)
+	ws.ForceFormulation = formulation
 	for _, cfg := range []struct{ n, m int }{
 		{100, 16}, {200, 16}, {500, 32}, {1000, 64}, {2000, 64}, {5000, 64}, {10000, 64},
 	} {

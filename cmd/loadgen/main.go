@@ -88,13 +88,17 @@ func main() {
 	testdataDir := flag.String("testdata", "testdata", "directory of instance JSON files")
 	genExtra := flag.Int("gen", 0, "additional generated layered n=96 m=16 instances in the mix")
 	algo := flag.String("algo", "", "algo field for every request (empty = auto routing)")
-	formulation := flag.String("formulation", "", "formulation field for every request: lazy, segment, mincut or dense (empty = auto; v2 only, forces /v2/solve)")
+	formulation := flag.String("formulation", "", "formulation field for every request: lazy, mincut or dense (empty = auto; v2 only, forces /v2/solve)")
 	deadlineMS := flag.Float64("deadline-ms", 0, "deadline_ms field for every request")
 	noCache := flag.Bool("no-cache", false, "bypass the server's result cache (cold path)")
 	edits := flag.Int("edits", 0, "v2 delta workload: edit this many random tasks of a solved base per request (0 = plain /v1 replay)")
 	retries := flag.Int("retries", 0, "retries per request on shed responses (429/503), with jittered exponential backoff")
 	seed := flag.Int64("seed", 411, "seed for generated instances and edits")
 	flag.Parse()
+	if _, err := malsched.ParseFormulation(*formulation); err != nil {
+		fmt.Fprintf(os.Stderr, "loadgen: %v\n", err)
+		os.Exit(2)
+	}
 
 	mix, err := loadMix(*testdataDir, *genExtra, *seed)
 	if err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 
-	"malsched/internal/allot"
 	"malsched/internal/core"
 	"malsched/internal/engine"
 	"malsched/internal/flow"
@@ -55,7 +54,7 @@ func ClassifyFailure(err error) FailureKind {
 		return FailNumeric
 	case errors.Is(err, lp.ErrInfeasible), errors.Is(err, lp.ErrUnbounded):
 		return FailInfeasible
-	case errors.Is(err, engine.ErrPanicked), errors.Is(err, allot.ErrCutPanic):
+	case errors.Is(err, engine.ErrPanicked):
 		return FailPanic
 	}
 	return FailNone

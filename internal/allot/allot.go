@@ -18,37 +18,26 @@
 // generates them lazily: the model starts with just the two endpoint lines
 // per task (plus implicit variable bounds standing in for the 2n domain
 // rows), and after each solve the most violated missing lines of every
-// task are added — the per-task scans sharded over a bounded worker set
-// with a deterministic merge — and the LP is re-solved warm via a
+// task are added in one serial scan, and the LP is re-solved warm via a
 // dual-simplex restart from the previous basis. Convexity makes each
 // round's cuts valid for the full LP and every round adds at least one
 // new row, so the loop terminates — the same monotone-iteration
 // discipline Esparza–Kiefer–Luttenberger use for least-fixed-point
-// systems — and in practice a handful of cuts per task suffice. In the
-// mid segment-mass window SolveLPWith instead routes to the
-// segment-variable reformulation (segment.go), which encodes the same
-// relaxation columnwise and solves in one call. SolveLPReference
-// (reference.go) retains the full dense build as the
-// differential-testing oracle for both.
+// systems — and in practice a handful of cuts per task suffice. Past
+// MincutFormulationMin segments SolveLPWith instead routes to the
+// parametric min-cut sweep (mincut.go), which solves the same relaxation
+// without a simplex. SolveLPReference (reference.go) retains the full
+// dense build as the differential-testing oracle for both.
 package allot
 
 import (
-	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"malsched/internal/dag"
 	"malsched/internal/lp"
 	"malsched/internal/malleable"
 )
-
-// ErrCutPanic marks a panic isolated inside a cut-separation shard scan
-// (errors.Is-able, so the serving layer's degradation ladder can classify
-// it as a recoverable solver panic).
-var ErrCutPanic = errors.New("allot: cut separation panicked")
 
 // Instance couples the precedence graph with the malleable tasks and the
 // machine size. Tasks[j] corresponds to vertex j of G.
@@ -88,7 +77,7 @@ func (in *Instance) Frontiers() []malleable.Frontier {
 }
 
 // Formulation names one of the interchangeable solve paths for LP (9).
-// All four optimise the same slope-representative relaxation and agree
+// All three optimise the same slope-representative relaxation and agree
 // on the optimum to the cut tolerance; they differ in machinery and in
 // which instance shapes they are fast on.
 type Formulation string
@@ -97,9 +86,6 @@ const (
 	// FormulationLazy: sparse simplex with lazy supporting-line cuts
 	// and dual-simplex warm restarts (this file).
 	FormulationLazy Formulation = "lazy"
-	// FormulationSegment: the columnwise segment-variable
-	// reformulation, solved in one artificial-free call (segment.go).
-	FormulationSegment Formulation = "segment"
 	// FormulationMincut: Fulkerson's parametric min-cut sweep on the
 	// project-crashing network (mincut.go + internal/flow).
 	FormulationMincut Formulation = "mincut"
@@ -169,18 +155,14 @@ func SolveLPWith(in *Instance, ws *Workspace) (*Fractional, error) {
 	}
 	n := in.G.N()
 	fronts := ws.frontiers(in)
+	ws.lastLazyN = 0 // only a completed lazy solve leaves capture state
 
 	// Route between the formulations. A pinned formulation (requests,
-	// tests, LP-snapshot capture) short-circuits; otherwise route by
-	// frontier segment mass: beyond mincutFormulationMin the parametric
-	// sweep dominates both simplex paths (mincut.go), in the mid window
-	// the segment-variable formulation beats the lazy loop's one-
-	// restart-per-row-batch convergence (see the crossover notes at
-	// segFormulationMin/mincutFormulationMin), and small instances stay
-	// on the lazy-cut loop below.
+	// tests, LP-snapshot capture) short-circuits; otherwise instances of
+	// frontier segment mass MincutFormulationMin and up go to the
+	// parametric sweep (mincut.go) and smaller ones stay on the lazy-cut
+	// loop below.
 	switch ws.ForceFormulation {
-	case FormulationSegment:
-		return solveLPSegments(in, ws, fronts)
 	case FormulationMincut:
 		return solveLPMincut(in, ws, fronts)
 	case FormulationDense:
@@ -192,23 +174,8 @@ func SolveLPWith(in *Instance, ws *Workspace) (*Fractional, error) {
 		for j := range fronts {
 			total += fronts[j].Segments()
 		}
-		if thr := ws.MincutThreshold; thr >= 0 {
-			lo := mincutFormulationMin
-			if thr > 0 {
-				lo = thr
-			}
-			if total >= lo {
-				return solveLPMincut(in, ws, fronts)
-			}
-		}
-		if thr := ws.SegThreshold; thr >= 0 {
-			lo, hi := segFormulationMin, segFormulationMax
-			if thr > 0 {
-				lo, hi = thr, math.MaxInt
-			}
-			if total >= lo && total <= hi {
-				return solveLPSegments(in, ws, fronts)
-			}
+		if total >= MincutFormulationMin {
+			return solveLPMincut(in, ws, fronts)
 		}
 	default:
 		return nil, fmt.Errorf("allot: unknown formulation %q", ws.ForceFormulation)
@@ -248,7 +215,7 @@ func SolveLPWith(in *Instance, ws *Workspace) (*Fractional, error) {
 		return nil, err
 	}
 	ws.lastLazyN = n
-	return extractFractional(sol, fronts, cuts, rounds), nil
+	return ws.extractFractional(sol, fronts, cuts, rounds), nil
 }
 
 // buildBaseLP constructs the static part of LP (9) — variables, implicit
@@ -321,17 +288,17 @@ func (ws *Workspace) buildBaseLP(in *Instance, fronts []malleable.Frontier) *lp.
 		}
 	}
 
-	// Crash bounds (applyCrashBounds, shared with the segment path):
-	// every completion is lower-bounded by the longest path (at the
-	// all-minimal processing times XMin) ending at the task, L by the
-	// largest of those and C by max{Lmin, sum of work floors / m}. These
-	// are implied inequalities — every feasible point already satisfies
-	// them, so the polytope (and the optimum) is untouched — but starting
-	// the nonbasic completions AT them makes the initial all-lower-bound
-	// point satisfy every precedence row outright: the phase-1
-	// artificials collapse from one per precedence row to the handful of
-	// rows (seed cuts, total work) that are genuinely violated, and with
-	// them thousands of phase-1 pivots.
+	// Crash bounds (applyCrashBounds): every completion is lower-bounded
+	// by the longest path (at the all-minimal processing times XMin)
+	// ending at the task, L by the largest of those and C by
+	// max{Lmin, sum of work floors / m}. These are implied inequalities —
+	// every feasible point already satisfies them, so the polytope (and
+	// the optimum) is untouched — but starting the nonbasic completions
+	// AT them makes the initial all-lower-bound point satisfy every
+	// precedence row outright: the phase-1 artificials collapse from one
+	// per precedence row to the handful of rows (seed cuts, total work)
+	// that are genuinely violated, and with them thousands of phase-1
+	// pivots.
 	ws.applyCrashBounds(p, in, fronts, cj, vL, vC, workFloorMin(fronts))
 
 	// Static rows. Completion ordering and the L cap are only needed where
@@ -417,10 +384,7 @@ func (ws *Workspace) runCutLoop(p *lp.Problem, fronts []malleable.Frontier, sol 
 		if ws.LP.Cancel.Canceled() {
 			return nil, 0, 0, lp.ErrCanceled
 		}
-		added, sepErr := ws.addViolatedCuts(p, fronts, sol, m)
-		if sepErr != nil {
-			return nil, 0, 0, sepErr
-		}
+		added := ws.addViolatedCuts(p, fronts, sol, m)
 		if added == 0 {
 			if polished {
 				break
@@ -447,15 +411,18 @@ func (ws *Workspace) runCutLoop(p *lp.Problem, fronts []malleable.Frontier, sol 
 }
 
 // extractFractional converts the polished LP solution into the package's
-// result shape.
-func extractFractional(sol *lp.Solution, fronts []malleable.Frontier, cuts, rounds int) *Fractional {
+// result shape. C and L are clamped up to the crash bounds the model put
+// on them: the simplex honours variable bounds only to its feasibility
+// tolerance, and a certified lower bound must never undercut the bound
+// every feasible point satisfies.
+func (ws *Workspace) extractFractional(sol *lp.Solution, fronts []malleable.Frontier, cuts, rounds int) *Fractional {
 	n := len(fronts)
 	out := &Fractional{
 		X:           make([]float64, n),
 		Wbar:        make([]float64, n),
 		LStar:       make([]float64, n),
-		C:           sol.Obj,
-		L:           sol.X[3*n],
+		C:           math.Max(sol.Obj, ws.cFloor),
+		L:           math.Max(sol.X[3*n], ws.lFloor),
 		Formulation: FormulationLazy,
 		Cuts:        cuts,
 		Rounds:      rounds,
@@ -472,51 +439,40 @@ func extractFractional(sol *lp.Solution, fronts []malleable.Frontier, cuts, roun
 	return out
 }
 
-// sepShardSize fixes the separation sharding granularity: tasks are cut
-// into ceil(n/sepShardSize) contiguous shards regardless of how many
-// workers run, so every per-shard result — and therefore the merged cut
-// sequence — is byte-identical for any GOMAXPROCS. sepMaxWorkers bounds
-// the worker set (beyond ~8 the memory-bound frontier scans stop
-// scaling, and an unbounded fan-out would fight the solver pool's own
-// parallelism on a loaded server).
-const (
-	sepShardSize    = 256
-	sepMaxWorkers   = 8
-	sepParThreshold = 2 * sepShardSize // below this many tasks, run inline
-)
-
 // sepPick is one selected cut: segment seg of task task's frontier.
 type sepPick struct{ task, seg int32 }
 
-// FaultCutWorker is a fault-injection hook (internal/faultinject): when
-// non-nil and returning true, a separation shard panics mid-scan,
-// exercising the worker panic isolation below. nil in production builds.
-var FaultCutWorker func() bool
-
-// separateShard scans the tasks of shard sh (the contiguous index range
-// [sh*sepShardSize, (sh+1)*sepShardSize) ∩ [0, n)) for their top-K
-// violated missing supporting lines at the solution x, appending picks —
-// in task order, most violated first within a task — to the shard's
-// reusable buffer. It only reads shared state (solution, frontiers, cut
-// bookkeeping), so shards run concurrently without synchronisation.
-func (ws *Workspace) separateShard(sh int, fronts []malleable.Frontier, solX []float64) {
-	if FaultCutWorker != nil && FaultCutWorker() {
-		panic("faultinject: cut-worker-panic")
-	}
+// addViolatedCuts appends, for every task whose work variable sits below
+// its work function at the LP solution, the most violated supporting
+// lines not yet materialised, and reports how many rows it added. When
+// the total-work row is slack — sum_j w_j(x*_j)/m fits under C* — it
+// adds nothing at all: raising every wbar_j to w_j(x*_j) then yields a
+// fully feasible point of the complete LP (9) at the same objective, so
+// the relaxation is already exact and no amount of cutting can change
+// C*. Tasks are scanned in index order and each task's lines are added
+// most violated first, so the row sequence depends on the solution
+// alone.
+func (ws *Workspace) addViolatedCuts(p *lp.Problem, fronts []malleable.Frontier, sol *lp.Solution, m int) int {
 	n := len(fronts)
-	lo, hi := sh*sepShardSize, (sh+1)*sepShardSize
-	if hi > n {
-		hi = n
+	sum := 0.0
+	for j := 0; j < n; j++ {
+		f := &fronts[j]
+		sum += f.WorkAt(clamp(sol.X[n+j], f.XMin(), f.XMax()))
 	}
-	picks := ws.sepPicks[sh][:0]
-	for j := lo; j < hi; j++ {
+	c := sol.X[3*n+1]
+	if sum/float64(m)-c <= cutEps*(1+math.Abs(c)) {
+		return 0
+	}
+
+	added := 0
+	for j := 0; j < n; j++ {
 		f := &fronts[j]
 		segs := f.Segments()
 		if segs < 1 {
 			continue
 		}
-		x := clamp(solX[n+j], f.XMin(), f.XMax())
-		wbar := solX[2*n+j]
+		x := clamp(sol.X[n+j], f.XMin(), f.XMax())
+		wbar := sol.X[2*n+j]
 		wtrue := f.WorkAt(x)
 		eps := cutEps * (1 + math.Abs(wtrue))
 		if wtrue-wbar <= eps {
@@ -557,115 +513,11 @@ func (ws *Workspace) separateShard(sh int, fronts []malleable.Frontier, solX []f
 			segTop[i], violTop[i] = int32(s), v
 		}
 		for i := 0; i < cnt; i++ {
-			picks = append(picks, sepPick{task: int32(j), seg: segTop[i]})
+			ws.logCut(p, f, j, int(segTop[i]), n)
 		}
+		added += cnt
 	}
-	ws.sepPicks[sh] = picks
-}
-
-// addViolatedCuts appends, for every task whose work variable sits below
-// its work function at the LP solution, the most violated supporting
-// lines not yet materialised, and reports how many rows it added. When
-// the total-work row is slack — sum_j w_j(x*_j)/m fits under C* — it
-// adds nothing at all: raising every wbar_j to w_j(x*_j) then yields a
-// fully feasible point of the complete LP (9) at the same objective, so
-// the relaxation is already exact and no amount of cutting can change
-// C*.
-//
-// The per-task separation scans are sharded over a bounded worker set
-// (tasks split into fixed-size contiguous shards, each worker draining
-// shards from a shared counter into per-shard pick buffers); the shard
-// layout depends only on n, and the merge walks shards in order, so the
-// appended cut sequence is byte-identical to a serial run for every
-// worker count.
-func (ws *Workspace) addViolatedCuts(p *lp.Problem, fronts []malleable.Frontier, sol *lp.Solution, m int) (int, error) {
-	n := len(fronts)
-	sum := 0.0
-	for j := 0; j < n; j++ {
-		f := &fronts[j]
-		sum += f.WorkAt(clamp(sol.X[n+j], f.XMin(), f.XMax()))
-	}
-	c := sol.X[3*n+1]
-	if sum/float64(m)-c <= cutEps*(1+math.Abs(c)) {
-		return 0, nil
-	}
-
-	nsh := (n + sepShardSize - 1) / sepShardSize
-	for len(ws.sepPicks) < nsh {
-		ws.sepPicks = append(ws.sepPicks, nil)
-	}
-	workers := runtime.GOMAXPROCS(0)
-	if workers > nsh {
-		workers = nsh
-	}
-	if workers > sepMaxWorkers {
-		workers = sepMaxWorkers
-	}
-	if workers <= 1 || n < sepParThreshold {
-		for sh := 0; sh < nsh; sh++ {
-			if err := ws.separateShardSafe(sh, fronts, sol.X); err != nil {
-				return 0, err
-			}
-		}
-	} else {
-		// A panic on a spawned goroutine would kill the process — the
-		// engine's per-job recover only guards the worker goroutine — so
-		// each shard scan runs under its own recover and the first failure
-		// is kept. Remaining shards still run (they are cheap and the
-		// buffers must be left consistent), their picks are just discarded.
-		var next atomic.Int32
-		var wg sync.WaitGroup
-		var errMu sync.Mutex
-		var firstErr error
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				//malsched:bounded shard counter strictly increases; returns once all nsh shards are claimed
-				for {
-					sh := int(next.Add(1)) - 1
-					if sh >= nsh {
-						return
-					}
-					if err := ws.separateShardSafe(sh, fronts, sol.X); err != nil {
-						errMu.Lock()
-						if firstErr == nil {
-							firstErr = err
-						}
-						errMu.Unlock()
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return 0, firstErr
-		}
-	}
-
-	added := 0
-	for sh := 0; sh < nsh; sh++ {
-		for _, pk := range ws.sepPicks[sh] {
-			j := int(pk.task)
-			ws.logCut(p, &fronts[j], j, int(pk.seg), n)
-			added++
-		}
-	}
-	return added, nil
-}
-
-// separateShardSafe runs one shard scan with panic isolation, converting a
-// panic into an error the cut loop can surface (and the serving layer's
-// degradation ladder can recover from).
-func (ws *Workspace) separateShardSafe(sh int, fronts []malleable.Frontier, solX []float64) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			ws.sepPicks[sh] = ws.sepPicks[sh][:0] // half-filled picks are garbage
-			err = fmt.Errorf("%w: shard %d: %v", ErrCutPanic, sh, r)
-		}
-	}()
-	ws.separateShard(sh, fronts, solX)
-	return nil
+	return added
 }
 
 func clamp(x, lo, hi float64) float64 {
@@ -709,8 +561,9 @@ func (ws *Workspace) applyCrashBounds(p *lp.Problem, in *Instance, fronts []mall
 	for j := 0; j < n; j++ {
 		p.SetBounds(cj(j), lpmin[j], math.Inf(1))
 	}
-	p.SetBounds(vL, lmax, math.Inf(1))
-	p.SetBounds(vC, math.Max(lmax, wfloor/float64(in.M)), math.Inf(1))
+	ws.lFloor, ws.cFloor = lmax, math.Max(lmax, wfloor/float64(in.M))
+	p.SetBounds(vL, ws.lFloor, math.Inf(1))
+	p.SetBounds(vC, ws.cFloor, math.Inf(1))
 }
 
 // Round applies the Section 3.1 rounding with parameter rho in [0,1] to the

@@ -6,15 +6,13 @@
 // instead of the crash basis. This is the serving layer's delta path: an
 // edited DAG re-solves in a handful of pivots instead of a cold solve.
 //
-// Snapshots only exist for the lazy-cut formulation. The segment-variable
-// reformulation (segment.go) lays its columns out per frontier segment —
-// a function of the processing-time values, not just the structure — so a
-// basis from one instance is not positionally meaningful on another;
-// callers wanting a snapshot force the lazy route (SegThreshold < 0).
+// Snapshots only exist for the lazy-cut formulation: the min-cut sweep
+// and the dense reference keep no basis, so callers wanting a snapshot
+// pin the lazy route (ForceFormulation = FormulationLazy).
 package allot
 
 import (
-	"fmt"
+	"errors"
 
 	"malsched/internal/lp"
 )
@@ -42,10 +40,10 @@ type LPSnapshot struct {
 }
 
 // CaptureLP exports a warm-start snapshot of the last completed lazy-path
-// solve on ws (SolveLPWith off the segment route, or SolveLPDeltaWith).
-// It returns nil when the workspace holds no transplantable state: the
-// last solve failed, took the segment route, or was for a different
-// instance shape than in.
+// solve on ws (SolveLPWith on the lazy route, or SolveLPDeltaWith). It
+// returns nil when the workspace holds no transplantable state: the last
+// solve failed, took another route, or was for a different instance
+// shape than in.
 //
 // The snapshot replays the full cut log, slack rows included. Slack rows
 // could be dropped without unbalancing the basis (one row, one basic
@@ -81,7 +79,9 @@ func (ws *Workspace) CaptureLP(in *Instance) *LPSnapshot {
 // variables now sit below their work functions get fresh cuts exactly as
 // in a cold solve. The result is an exact optimum of LP (9) for in, the
 // same LP the cold path solves; only the simplex's starting point
-// differs. Any mismatch between snapshot and instance degrades to a cold
+// differs. Any mismatch between snapshot and instance, and any failure
+// of the warm solve but cancellation (a transplanted basis can turn
+// numerically singular on the edited values), degrades to a cold
 // SolveLPWith, never to an error a cold solve would not also produce.
 func SolveLPDeltaWith(in *Instance, ws *Workspace, snap *LPSnapshot) (*Fractional, error) {
 	if err := in.Validate(); err != nil {
@@ -128,16 +128,16 @@ func SolveLPDeltaWith(in *Instance, ws *Workspace, snap *LPSnapshot) (*Fractiona
 
 	ws.LP.DeferPolish = true
 	sol, err := p.SolveHotWith(&ws.LP, snap.Basis)
-	if err != nil {
-		// SolveHotWith already degrades to a cold SolveWith internally;
-		// an error here is one the cold path would produce for the same
-		// model (infeasibility, iteration limit) and is genuine.
-		return nil, fmt.Errorf("allot: LP (9) delta solve failed: %w", err)
+	cuts, rounds := 0, 0
+	if err == nil {
+		sol, cuts, rounds, err = ws.runCutLoop(p, fronts, sol, in.M)
 	}
-	sol, cuts, rounds, err := ws.runCutLoop(p, fronts, sol, in.M)
-	if err != nil {
+	if errors.Is(err, lp.ErrCanceled) {
 		return nil, err
 	}
+	if err != nil {
+		return SolveLPWith(in, ws)
+	}
 	ws.lastLazyN = n
-	return extractFractional(sol, fronts, cuts, rounds), nil
+	return ws.extractFractional(sol, fronts, cuts, rounds), nil
 }

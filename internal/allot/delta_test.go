@@ -36,13 +36,13 @@ func editInstance(in *allot.Instance, k int, rng *rand.Rand) *allot.Instance {
 func checkDeltaAgainstCold(t *testing.T, edited *allot.Instance, snap *allot.LPSnapshot) {
 	t.Helper()
 	dws := allot.NewWorkspace()
-	dws.SegThreshold = -1
+	dws.ForceFormulation = allot.FormulationLazy
 	delta, err := allot.SolveLPDeltaWith(edited, dws, snap)
 	if err != nil {
 		t.Fatalf("delta: %v", err)
 	}
 	cws := allot.NewWorkspace()
-	cws.SegThreshold = -1
+	cws.ForceFormulation = allot.FormulationLazy
 	cold, err := allot.SolveLPWith(edited, cws)
 	if err != nil {
 		t.Fatalf("cold: %v", err)
@@ -86,7 +86,7 @@ func TestSolveLPDeltaMatchesCold(t *testing.T) {
 		}
 		t.Run(fmt.Sprintf("%s_n%d_m%d_k%d", family, g.N(), m, k), func(t *testing.T) {
 			ws := allot.NewWorkspace()
-			ws.SegThreshold = -1 // snapshots exist on the lazy route only
+			ws.ForceFormulation = allot.FormulationLazy // snapshots exist on the lazy route only
 			if _, err := allot.SolveLPWith(base, ws); err != nil {
 				t.Fatalf("base: %v", err)
 			}
@@ -107,7 +107,7 @@ func TestSolveLPDeltaChained(t *testing.T) {
 	g := buildDAG("layered", 24, 0.2, rng)
 	cur := gen.Instance(g, gen.FamilyMixed, 8, rng)
 	ws := allot.NewWorkspace()
-	ws.SegThreshold = -1
+	ws.ForceFormulation = allot.FormulationLazy
 	if _, err := allot.SolveLPWith(cur, ws); err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestSolveLPDeltaChained(t *testing.T) {
 		edited := editInstance(cur, 3, rng)
 		checkDeltaAgainstCold(t, edited, snap)
 		dws := allot.NewWorkspace()
-		dws.SegThreshold = -1
+		dws.ForceFormulation = allot.FormulationLazy
 		if _, err := allot.SolveLPDeltaWith(edited, dws, snap); err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestSolveLPDeltaMismatchFallsBack(t *testing.T) {
 	check("nil snapshot", nil)
 
 	ws := allot.NewWorkspace()
-	ws.SegThreshold = -1
+	ws.ForceFormulation = allot.FormulationLazy
 	other := gen.Instance(buildDAG("chain", 5, 0, rng), gen.FamilyMixed, 4, rng)
 	if _, err := allot.SolveLPWith(other, ws); err != nil {
 		t.Fatal(err)
@@ -159,7 +159,7 @@ func TestSolveLPDeltaMismatchFallsBack(t *testing.T) {
 	check("wrong task count", ws.CaptureLP(other))
 
 	ws2 := allot.NewWorkspace()
-	ws2.SegThreshold = -1
+	ws2.ForceFormulation = allot.FormulationLazy
 	if _, err := allot.SolveLPWith(in, ws2); err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestSolveLPDeltaCollapsedFrontier(t *testing.T) {
 	g := buildDAG("forkjoin", 10, 0, rng)
 	base := gen.Instance(g, gen.FamilyMixed, 6, rng)
 	ws := allot.NewWorkspace()
-	ws.SegThreshold = -1
+	ws.ForceFormulation = allot.FormulationLazy
 	if _, err := allot.SolveLPWith(base, ws); err != nil {
 		t.Fatal(err)
 	}
@@ -199,22 +199,25 @@ func TestSolveLPDeltaCollapsedFrontier(t *testing.T) {
 	checkDeltaAgainstCold(t, edited, snap)
 }
 
-// TestCaptureLPNilOffLazyRoute: the segment-variable formulation lays
-// columns out by value, not structure, so solves routed there must not
-// export snapshots.
+// TestCaptureLPNilOffLazyRoute: the min-cut sweep keeps no basis, so a
+// solve routed there must not export a snapshot — not even the stale one
+// an earlier lazy solve left on the same workspace.
 func TestCaptureLPNilOffLazyRoute(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := buildDAG("independent", 16, 0, rng)
 	in := gen.Instance(g, gen.FamilyMixed, 8, rng)
 	ws := allot.NewWorkspace()
-	ws.SegThreshold = 1 // route everything with >= 1 segment to segment.go
+	if _, err := allot.SolveLPWith(in, ws); err != nil {
+		t.Fatal(err)
+	}
+	if ws.CaptureLP(in) == nil {
+		t.Fatal("lazy solve exported no snapshot")
+	}
+	ws.ForceFormulation = allot.FormulationMincut
 	if _, err := allot.SolveLPWith(in, ws); err != nil {
 		t.Fatal(err)
 	}
 	if snap := ws.CaptureLP(in); snap != nil {
-		t.Error("segment-route solve exported a snapshot")
-	}
-	if bas := ws.LP.ExportBasis(); bas == nil {
-		t.Log("segment route leaves no exportable basis (fine)")
+		t.Error("mincut-route solve exported a snapshot")
 	}
 }

@@ -12,41 +12,42 @@
 // The network is the standard activity-on-arc expansion of the reduced
 // DAG: task j becomes arc in_j -> out_j with base duration XMax_j and a
 // crashing curve read off the same slope-representative work envelope
-// the simplex paths optimise (repFill in segment.go — the 1e-6 slope
-// collapse makes all three formulations solve the identical relaxation,
-// which is what the differential suite pins); precedence (i,j) becomes
+// the lazy simplex optimises (repFill below — the 1e-6 slope collapse
+// makes every formulation solve the identical relaxation, which is what
+// the differential suite pins); precedence (i,j) becomes
 // the rigid zero-length arc out_i -> in_j, DAG sources hang off the
 // super-source S and sinks feed the super-sink T, mirroring row for row
 // how buildBaseLP emits x_j <= C_j only for sources and C_j <= L only
 // for sinks.
 //
-// The payoff over both simplex formulations is structural: a simplex
+// The payoff over the simplex is structural on wide DAGs: a simplex
 // solve pays a pivot per envelope piece the optimum crosses against an
 // ever-growing basis factorization, while the sweep pays roughly one
 // warm augmenting path per parametric breakpoint on a graph of 2n+2
 // nodes — layered n=2000/m=64 drops from ~18 s (lazy) to ~1.1 s,
 // measured back to back on the same machine, and n=10^4 lands in
-// ~46 s where the simplex paths never finished (EXPERIMENTS.md E16).
+// ~46 s where the simplex never finished (EXPERIMENTS.md E16). Deep
+// DAGs are the exception: their breakpoint count grows with depth, and
+// there the lazy simplex can win by an order of magnitude (E17).
 
 package allot
 
 import (
 	"fmt"
+	"math"
 
 	"malsched/internal/malleable"
 )
 
-// mincutFormulationMin is the frontier segment mass beyond which
-// SolveLPWith routes to the parametric min-cut formulation. Measured on
-// the BenchmarkPhase1LP scenarios (see segment.go for the lazy/segment
-// crossovers): the sweep already wins at the bottom of the segment
-// window — n=200/m=16 (mass ~2.4k): lazy 19ms vs mincut 2ms;
-// n=500/m=32 (mass ~12k): segment 0.48s vs mincut 8ms — and scales
-// near-linearly where both simplex paths are quadratic-plus, so the
-// window is open-ended above. Below ~2k mass the lazy loop converges in
-// a couple of restarts on a tiny basis and the crossing is in the
-// noise; the sweep takes over from the segment window's former floor.
-const mincutFormulationMin = 6000
+// MincutFormulationMin is the frontier segment mass from which
+// SolveLPWith routes to the parametric min-cut formulation; the serving
+// layer's router reads it too. Measured on the BenchmarkPhase1LP
+// scenarios: n=200/m=16 (mass ~2.4k): lazy 19ms vs mincut 2ms;
+// n=500/m=32 (mass ~12k): lazy 0.8s vs mincut 8ms. Below ~2k mass the
+// lazy loop converges in a couple of restarts on a tiny basis and the
+// crossing is in the noise. The threshold ignores depth, so deep shapes
+// past it take the sweep even where the lazy simplex is faster (E17).
+const MincutFormulationMin = 6000
 
 // solveLPMincut builds the project-crashing network for the instance
 // and runs the parametric sweep. fronts are the instance's efficient
@@ -104,4 +105,47 @@ func solveLPMincut(in *Instance, ws *Workspace, fronts []malleable.Frontier) (*F
 		out.LStar[j] = f.FractionalAlloc(out.X[j])
 	}
 	return out, nil
+}
+
+// repFill computes f's downward envelope fill pieces into the shared
+// scratch: piece k carries the k-th shallowest slope-representative
+// supporting line (the collapse rule — 1e-6 relative slope agreement
+// folds a chain onto its first member — matches the lazy path's cut
+// filter), sigma_k = |slope| of that line, and repWidth[k] the piece's
+// x-extent below XMax, cut at the intersections of consecutive lines and
+// clamped into [XMin, XMax] so roundoff can never produce a negative
+// width. Returns the sigmas; widths are in ws.repWidth.
+func (ws *Workspace) repFill(f *malleable.Frontier) []float64 {
+	slopes := ws.repSlope[:0]
+	icpts := ws.repIcpt[:0]
+	lastRep := math.Inf(-1)
+	for s := 0; s < f.Segments(); s++ {
+		slope, icpt := lineCoefs(f, s)
+		if s == 0 || math.Abs(slope-lastRep) > 1e-6*(1+math.Abs(slope)) {
+			slopes = append(slopes, slope)
+			icpts = append(icpts, icpt)
+			lastRep = slope
+		}
+	}
+	r := len(slopes)
+	widths := grown(ws.repWidth, r)
+	prev := f.XMax()
+	for k := 0; k < r; k++ {
+		low := f.XMin()
+		if k < r-1 {
+			// Crossing of line k with the next-steeper line k+1.
+			low = (icpts[k+1] - icpts[k]) / (slopes[k] - slopes[k+1])
+		}
+		if low > prev {
+			low = prev
+		}
+		if low < f.XMin() {
+			low = f.XMin()
+		}
+		widths[k] = prev - low
+		slopes[k] = -slopes[k] // sigma: positive work rise per unit drop
+		prev = low
+	}
+	ws.repSlope, ws.repIcpt, ws.repWidth = slopes, icpts, widths
+	return slopes
 }

@@ -132,39 +132,45 @@ func TestSolveLPMincutBelowBruteforceOptimal(t *testing.T) {
 	}
 }
 
-// TestMincutAutoRouting pins the router: with the mincut window forced
-// open the auto route must take the sweep, with it disabled the same
-// instance must fall back to a simplex path, and an unknown pinned
-// formulation must error.
+// TestMincutAutoRouting pins the router: an instance of segment mass
+// MincutFormulationMin or more takes the sweep, a smaller one the lazy
+// loop, and an unknown pinned formulation errors.
 func TestMincutAutoRouting(t *testing.T) {
 	rng := rand.New(rand.NewSource(808))
-	in := gen.Instance(gen.Layered(10, 6, 3, rng), gen.FamilyMixed, 32, rng)
-
+	mass := func(in *allot.Instance) int {
+		total := 0
+		for _, f := range in.Frontiers() {
+			total += f.Segments()
+		}
+		return total
+	}
 	ws := allot.NewWorkspace()
-	ws.MincutThreshold = 1
-	frac, err := allot.SolveLPWith(in, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frac.Formulation != allot.FormulationMincut {
-		t.Errorf("open mincut window routed to %q, want mincut", frac.Formulation)
-	}
-	if frac.Cuts == 0 {
-		t.Errorf("mincut solve reports zero breakpoints on a work-bound instance")
+	for _, c := range []struct {
+		in   *allot.Instance
+		want allot.Formulation
+	}{
+		{gen.Instance(gen.Layered(20, 10, 3, rng), gen.FamilyMixed, 64, rng), allot.FormulationMincut},
+		{gen.Instance(gen.Layered(10, 6, 3, rng), gen.FamilyMixed, 32, rng), allot.FormulationLazy},
+	} {
+		big := mass(c.in) >= allot.MincutFormulationMin
+		if big != (c.want == allot.FormulationMincut) {
+			t.Fatalf("segment mass %d is on the wrong side of %d", mass(c.in), allot.MincutFormulationMin)
+		}
+		frac, err := allot.SolveLPWith(c.in, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if frac.Formulation != c.want {
+			t.Errorf("segment mass %d routed to %q, want %q", mass(c.in), frac.Formulation, c.want)
+		}
+		if frac.Cuts == 0 {
+			t.Errorf("%s solve reports no effort on a work-bound instance", frac.Formulation)
+		}
 	}
 
-	ws.MincutThreshold = -1
-	frac, err = allot.SolveLPWith(in, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frac.Formulation == allot.FormulationMincut {
-		t.Errorf("disabled mincut window still routed to the sweep")
-	}
-
-	ws.ForceFormulation = "nonsense"
-	if _, err := allot.SolveLPWith(in, ws); err == nil {
-		t.Errorf("unknown pinned formulation did not error")
+	ws.ForceFormulation = "segment"
+	if _, err := allot.SolveLPWith(gen.Instance(gen.Chain(3), gen.FamilyMixed, 4, rng), ws); err == nil {
+		t.Errorf("retired formulation %q did not error", ws.ForceFormulation)
 	}
 	ws.ForceFormulation = ""
 }

@@ -11,19 +11,16 @@ import (
 	"math/rand"
 )
 
-// TestParallelSeparationDeterministic pins the parallel lazy-cut
-// separation's contract: the task shards are fixed by n alone and the
-// merge walks them in order, so the selected cuts — and therefore the
-// entire solve — are byte-identical for every worker count. The
-// instance is sized past the parallel threshold (n >= 2*sepShardSize)
-// so the sharded path actually fans out when GOMAXPROCS allows.
+// TestParallelSeparationDeterministic pins that a lazy-cut solve is
+// byte-identical at every GOMAXPROCS: nothing in it, cut separation
+// included, may depend on the worker count.
 func TestParallelSeparationDeterministic(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
-	in := gen.Instance(gen.Layered(40, 16, 3, rng), gen.FamilyMixed, 16, rng)
+	in := gen.Instance(gen.Layered(16, 12, 3, rng), gen.FamilyMixed, 16, rng)
 
 	solve := func() *allot.Fractional {
 		ws := allot.NewWorkspace()
-		ws.SegThreshold = -1 // pin the lazy-cut path; this test is about its separation
+		ws.ForceFormulation = allot.FormulationLazy
 		frac, err := allot.SolveLPWith(in, ws)
 		if err != nil {
 			t.Fatal(err)
@@ -47,7 +44,6 @@ func TestParallelSeparationDeterministic(t *testing.T) {
 
 	// And a same-workspace repeat must match too (warm-path reuse).
 	ws := allot.NewWorkspace()
-	ws.SegThreshold = -1
 	a, err := allot.SolveLPWith(in, ws)
 	if err != nil {
 		t.Fatal(err)

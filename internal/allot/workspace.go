@@ -37,39 +37,25 @@ type Workspace struct {
 	terms []lp.Term
 	offs  []int32
 
-	// Per-shard pick buffers of the parallel lazy-cut separation
-	// (addViolatedCuts); sepPicks[sh] is owned by whichever worker holds
-	// shard sh during a round and reused across rounds and solves.
-	sepPicks [][]sepPick
-
 	// Crash-bound scratch: per-task longest-path values (the topological
-	// order itself comes from the prep workspace in chains).
-	lpmin []float64
+	// order itself comes from the prep workspace in chains), and the
+	// bounds of L and C from the last build (extractFractional clamps to
+	// them).
+	lpmin          []float64
+	lFloor, cFloor float64
 
 	// Cut replay log of the lazy path: every supporting-line row in append
 	// order (seeds first, then separation rounds). CaptureLP copies it
 	// into snapshots; SolveLPDeltaWith replays a snapshot's log to rebuild
 	// a basis-compatible row layout. lastLazyN is the task count of the
-	// last completed lazy-path solve (0 when the last solve took the
-	// segment route or failed), guarding capture against exporting a basis
-	// whose layout the log does not describe. totalSegs caches the summed
-	// frontier segment count of the last build for the cut loop's round cap.
+	// last completed lazy-path solve (0 when the last solve took another
+	// route or failed), guarding capture against exporting a basis whose
+	// layout the log does not describe. totalSegs caches the summed
+	// frontier segment count of the last build for the cut loop's round
+	// cap.
 	cutLog    []sepPick
 	lastLazyN int
 	totalSegs int
-
-	// SegThreshold overrides the frontier-segment count beyond which
-	// SolveLPWith routes to the segment-variable formulation; 0 means the
-	// measured default (segFormulationMin), negative disables the route.
-	// Exposed for tests and experiments.
-	SegThreshold int
-
-	// MincutThreshold overrides the frontier-segment count beyond which
-	// SolveLPWith routes to the parametric min-cut formulation, with the
-	// same semantics as SegThreshold: 0 means the measured default
-	// (mincutFormulationMin), negative disables the route. The mincut
-	// window is checked before the segment window.
-	MincutThreshold int
 
 	// ForceFormulation, when non-empty, pins SolveLPWith to one solve
 	// path regardless of segment mass — the request-level formulation
@@ -82,14 +68,14 @@ type Workspace struct {
 	Flow  flow.Workspace
 	mcArc []int32
 
-	// Segment-formulation scratch: the representative-line buffers of the
-	// per-task envelope fills (see segment.go).
+	// Envelope scratch of the min-cut network's crashing curves: the
+	// representative-line buffers of repFill (mincut.go).
 	repSlope []float64
 	repIcpt  []float64
 	repWidth []float64
 
 	// Chain analysis (internal/prep): link successors and link-target
-	// markers for the linear-chain row collapse of both LP builders.
+	// markers for the linear-chain row collapse of the lazy LP builder.
 	chains    prep.Workspace
 	linkInto  []bool
 	chainNext []int32

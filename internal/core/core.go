@@ -46,24 +46,20 @@ type Options struct {
 	// large instance onto the min-cut sweep — the result simply carries
 	// no snapshot. Pin Formulation to lazy to make capture unconditional.
 	CaptureLP bool
-	// Formulation pins the phase-1 LP formulation (lazy, segment, mincut
-	// or dense); empty lets the router pick by instance shape. A dense pin
-	// routes through the reference oracle exactly like DenseLP. Pins other
-	// than lazy are incompatible with CaptureLP/WarmLP, whose snapshots
-	// only exist on the lazy simplex route.
+	// Formulation pins the phase-1 LP formulation (lazy, mincut or
+	// dense); empty lets the router pick by instance shape. A dense pin
+	// routes through the reference oracle (allot.SolveLPReference) — the
+	// degradation ladder's fallback when the sparse path hits numerical
+	// trouble; it materialises all n*m supporting lines, so it is only
+	// viable for small instances. Pins other than lazy are incompatible
+	// with CaptureLP/WarmLP, whose snapshots only exist on the lazy
+	// simplex route.
 	Formulation allot.Formulation
 	// WarmLP warm-starts phase 1 from a snapshot captured on an instance
 	// with the same structure (task count, DAG shape, machine count) —
 	// the serving layer's delta path. Mismatched snapshots degrade to a
 	// cold solve; the result is an exact LP optimum either way.
 	WarmLP *allot.LPSnapshot
-	// DenseLP routes phase 1 through the dense reference oracle
-	// (allot.SolveLPReference) instead of the sparse simplex — the
-	// degradation ladder's fallback when the sparse path hits numerical
-	// trouble. The dense tableau materialises all n*m supporting lines,
-	// so this is only viable for small instances. Incompatible with
-	// CaptureLP/WarmLP (no snapshot exists on the dense route).
-	DenseLP bool
 }
 
 // Result carries the schedule together with the analysis quantities of
@@ -137,12 +133,10 @@ func SolveWith(in *allot.Instance, opt Options, ws *solver.Workspace) (*Result, 
 	}
 	pin := opt.Formulation
 	switch pin {
-	case "", allot.FormulationLazy, allot.FormulationSegment,
-		allot.FormulationMincut, allot.FormulationDense:
+	case "", allot.FormulationLazy, allot.FormulationMincut, allot.FormulationDense:
 	default:
-		return nil, fmt.Errorf("core: unknown formulation %q (valid: %s, %s, %s, %s)",
-			pin, allot.FormulationLazy, allot.FormulationSegment,
-			allot.FormulationMincut, allot.FormulationDense)
+		return nil, fmt.Errorf("core: unknown formulation %q (valid: %s, %s, %s)",
+			pin, allot.FormulationLazy, allot.FormulationMincut, allot.FormulationDense)
 	}
 	if pin != "" && pin != allot.FormulationLazy {
 		if opt.CaptureLP {
@@ -155,7 +149,7 @@ func SolveWith(in *allot.Instance, opt Options, ws *solver.Workspace) (*Result, 
 	var frac *allot.Fractional
 	var err error
 	switch {
-	case opt.DenseLP || pin == allot.FormulationDense:
+	case pin == allot.FormulationDense:
 		frac, err = allot.SolveLPReference(red)
 	case opt.WarmLP != nil:
 		frac, err = allot.SolveLPDeltaWith(red, lpws, opt.WarmLP)

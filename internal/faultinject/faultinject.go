@@ -26,9 +26,6 @@ const (
 	// LUFactorFail makes a sparse-simplex basis factorization report a
 	// singular basis (lp.FaultLUFactor).
 	LUFactorFail = "lu-factor-fail"
-	// CutWorkerPanic panics inside a parallel cut-separation worker
-	// (allot.FaultCutWorker).
-	CutWorkerPanic = "cut-worker-panic"
 	// CacheShardError makes a cache shard unavailable for one operation;
 	// the cache fails open to an uncached compute (server.FaultCacheShard).
 	CacheShardError = "cache-shard-error"

@@ -20,8 +20,8 @@ func TestDeterministicPerSeed(t *testing.T) {
 }
 
 func TestRateRoughlyHolds(t *testing.T) {
-	inj := New(7).Set(CutWorkerPanic, 0.05)
-	hook := inj.Hook(CutWorkerPanic)
+	inj := New(7).Set(FlowSweepStall, 0.05)
+	hook := inj.Hook(FlowSweepStall)
 	const n = 100000
 	fired := 0
 	for i := 0; i < n; i++ {

@@ -59,10 +59,19 @@ import (
 // the serving layer's degradation ladder classifies it as recoverable.
 var ErrStalled = errors.New("flow: parametric sweep stalled")
 
+// errChain reports an R-tree parent chain that does not reach the
+// source within the node count: the tree is corrupt, and the sweep fails
+// recoverably instead of walking the cycle forever.
+var errChain = fmt.Errorf("%w: source-side tree chain does not reach the source", ErrStalled)
+
 // FaultSweep, when armed by a test, is consulted once per event;
 // returning true fails the sweep with ErrStalled. Nil in production
 // (see internal/faultinject).
 var FaultSweep func() bool
+
+// afterRepair, when set by a test, runs after every R-tree repair
+// (processOrphans) so the tree invariants can be audited mid-sweep.
+var afterRepair func(ws *Workspace)
 
 // Event kinds: a cut arc hitting a piece boundary of its crashing curve
 // (forward = crashing, backward = un-crashing), and a slack arc from
@@ -793,8 +802,11 @@ func (ws *Workspace) rebuildFull() (done bool, err error) {
 func (ws *Workspace) resolveIncremental() (done bool, err error) {
 	for ws.inRf(int32(ws.snk)) {
 		bott := math.Inf(1)
-		for v := int32(ws.snk); int(v) != ws.src; v = ws.pnode(v) {
+		for v, k := int32(ws.snk), 0; int(v) != ws.src; v, k = ws.pnode(v), k+1 {
 			enc := ws.parent[v]
+			if enc < 0 || k >= ws.nodes {
+				return false, errChain
+			}
 			if r := ws.residual(enc>>1, enc&1 == 0); r < bott {
 				bott = r
 			}
@@ -803,8 +815,11 @@ func (ws *Workspace) resolveIncremental() (done bool, err error) {
 			return true, nil
 		}
 		roots := ws.orphList[:0]
-		for v := int32(ws.snk); int(v) != ws.src; v = ws.pnode(v) {
+		for v, k := int32(ws.snk), 0; int(v) != ws.src; v, k = ws.pnode(v), k+1 {
 			enc := ws.parent[v]
+			if enc < 0 || k >= ws.nodes {
+				return false, errChain
+			}
 			a := enc >> 1
 			if enc&1 == 0 {
 				ws.f[a] += bott
@@ -855,7 +870,9 @@ func (ws *Workspace) tryAdopt(v int32) bool {
 		} else if !ws.bwdOpen(a) {
 			continue
 		}
-		ws.unlinkChild(ws.pnode(v), v)
+		if ws.parent[v] >= 0 { // a detached root is in no child list
+			ws.unlinkChild(ws.pnode(v), v)
+		}
 		if enc&1 != 0 {
 			ws.parent[v] = a << 1
 		} else {
@@ -872,7 +889,10 @@ func (ws *Workspace) tryAdopt(v int32) bool {
 // parent arcs of roots: detach their subtrees, re-adopt every orphan
 // that still has a residual tight arc from the rooted side (adoptions
 // seed a frontier search that can pull whole subtrees back), then evict
-// the rest from R and reclassify the cut arcs they expose.
+// the rest from R and reclassify the cut arcs they expose. A detached
+// root's parent is cleared with the unlink: its sibling links go stale
+// at once, and unlinking it a second time through them (on adoption)
+// would cut live children out of the old parent's list.
 func (ws *Workspace) processOrphans(roots []int32) {
 	ws.orphEpoch++
 	ep := ws.orphEpoch
@@ -882,6 +902,7 @@ func (ws *Workspace) processOrphans(roots []int32) {
 			continue // already inside an earlier root's subtree
 		}
 		ws.unlinkChild(ws.pnode(r), r)
+		ws.parent[r] = -1
 		ws.orph[r] = ep
 		nodes = append(nodes, r)
 		for i := len(nodes) - 1; i < len(nodes); i++ {
@@ -920,7 +941,9 @@ func (ws *Workspace) processOrphans(roots []int32) {
 			} else if !ws.bwdOpen(a) {
 				continue
 			}
-			ws.unlinkChild(ws.pnode(w), w)
+			if ws.parent[w] >= 0 {
+				ws.unlinkChild(ws.pnode(w), w)
+			}
 			if enc&1 == 0 {
 				ws.parent[w] = a << 1
 			} else {
@@ -973,6 +996,9 @@ func (ws *Workspace) processOrphans(roots []int32) {
 				ws.enterCut(a, -1)
 			}
 		}
+	}
+	if afterRepair != nil {
+		afterRepair(ws)
 	}
 }
 
@@ -1085,8 +1111,11 @@ func (ws *Workspace) reopen(a int32, fwd bool) (done bool, err error) {
 				w = ws.head[aa]
 			}
 		}
-		for w := u; int(w) != ws.src; w = ws.pnode(w) {
+		for w, k := u, 0; int(w) != ws.src; w, k = ws.pnode(w), k+1 {
 			enc := ws.parent[w]
+			if enc < 0 || k >= ws.nodes {
+				return false, errChain
+			}
 			if r := ws.residual(enc>>1, enc&1 == 0); r < bott {
 				bott = r
 			}
@@ -1127,8 +1156,11 @@ func (ws *Workspace) reopen(a int32, fwd bool) (done bool, err error) {
 			}
 		}
 		roots := ws.orphList[:0]
-		for w := u; int(w) != ws.src; w = ws.pnode(w) {
+		for w, k := u, 0; int(w) != ws.src; w, k = ws.pnode(w), k+1 {
 			enc := ws.parent[w]
+			if enc < 0 || k >= ws.nodes {
+				return false, errChain
+			}
 			aa := enc >> 1
 			if enc&1 == 0 {
 				ws.f[aa] += bott
@@ -1314,8 +1346,12 @@ func (ws *Workspace) Sweep(src, snk int, m, phi0 float64) (float64, error) {
 		}
 	}
 	ws.bEps = 1e-12 * (1 + maxCum)
+	// A breakpoint costs about one augmenting path, and a deep network
+	// meets a breakpoint at nearly every crashing piece (a 400-task chain
+	// at m=64 augments ~14k times on 801 arcs), so both budgets scale
+	// with the pieces as well as the arcs.
 	ws.evBudget = 64*(len(ws.rate)+nA) + 1024
-	ws.augBudget = 16*nA + 1024
+	ws.augBudget = 16*(len(ws.rate)+nA) + 1024
 
 	if FaultSweep != nil && FaultSweep() {
 		return 0, fmt.Errorf("%w: injected fault", ErrStalled)

@@ -2,7 +2,7 @@ package server
 
 // Deterministic chaos suite: a loadgen-shaped concurrent workload runs
 // against a server with every fault point armed (seeded LU-factor
-// failures, cut-worker panics, cache-shard errors, slow solves, background
+// failures, flow-sweep stalls, cache-shard errors, slow solves, background
 // lane drops). The invariants under fire:
 //
 //   - the process never crashes and no request sees a 500: recoverable
@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"malsched"
-	"malsched/internal/allot"
 	"malsched/internal/engine"
 	"malsched/internal/faultinject"
 	"malsched/internal/flow"
@@ -45,7 +44,6 @@ var (
 func TestChaos(t *testing.T) {
 	inj := faultinject.New(*chaosSeed).
 		Set(faultinject.LUFactorFail, 0.05).
-		Set(faultinject.CutWorkerPanic, 0.01).
 		Set(faultinject.CacheShardError, 0.02).
 		Set(faultinject.SlowSolve, 0.02).
 		Set(faultinject.BGLaneDrop, 0.10).
@@ -54,7 +52,6 @@ func TestChaos(t *testing.T) {
 		Set(faultinject.FlowSweepStall, 0.01)
 
 	lp.FaultLUFactor = inj.Hook(faultinject.LUFactorFail)
-	allot.FaultCutWorker = inj.Hook(faultinject.CutWorkerPanic)
 	flow.FaultSweep = inj.Hook(faultinject.FlowSweepStall)
 	FaultCacheShard = inj.Hook(faultinject.CacheShardError)
 	slow := inj.Hook(faultinject.SlowSolve)
@@ -67,7 +64,6 @@ func TestChaos(t *testing.T) {
 	engine.FaultBGDrop = inj.Hook(faultinject.BGLaneDrop)
 	t.Cleanup(func() {
 		lp.FaultLUFactor = nil
-		allot.FaultCutWorker = nil
 		flow.FaultSweep = nil
 		FaultCacheShard = nil
 		engine.FaultSlowSolve = nil
@@ -279,9 +275,8 @@ func TestChaos(t *testing.T) {
 	}
 
 	for _, name := range []string{
-		faultinject.LUFactorFail, faultinject.CutWorkerPanic,
-		faultinject.CacheShardError, faultinject.SlowSolve,
-		faultinject.FlowSweepStall,
+		faultinject.LUFactorFail, faultinject.CacheShardError,
+		faultinject.SlowSolve, faultinject.FlowSweepStall,
 	} {
 		t.Logf("fault %-18s fired %d/%d", name, inj.Fired(name), inj.Calls(name))
 	}

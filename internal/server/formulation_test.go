@@ -8,13 +8,14 @@ import (
 )
 
 // TestV2FormulationPin pins each formulation on a small instance and
-// checks the response reports exactly what ran; an unknown pin is a 400
-// whose message enumerates the valid values.
+// checks the response reports exactly what ran; an unknown pin — the
+// retired "segment" route among them — is a 400 whose message
+// enumerates the valid values.
 func TestV2FormulationPin(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	in := loadTestdata(t, "chain_n10_m4.json")
 
-	for _, f := range []string{"lazy", "segment", "mincut", "dense"} {
+	for _, f := range []string{"lazy", "mincut", "dense"} {
 		resp, data := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{
 			Instance: in, Algo: "paper", Formulation: f,
 		})
@@ -30,20 +31,22 @@ func TestV2FormulationPin(t *testing.T) {
 		}
 	}
 
-	resp, data := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{
-		Instance: in, Formulation: "simplex2000",
-	})
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("unknown formulation: status %d: %s", resp.StatusCode, data)
-	}
-	for _, want := range []string{"lazy", "segment", "mincut", "dense"} {
-		if !jsonErrorContains(data, want) {
-			t.Errorf("400 body does not enumerate %q: %s", want, data)
+	for _, f := range []string{"segment", "simplex2000"} {
+		resp, data := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{
+			Instance: in, Formulation: f,
+		})
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("unknown formulation %q: status %d: %s", f, resp.StatusCode, data)
+		}
+		for _, want := range []string{"lazy", "mincut", "dense"} {
+			if !jsonErrorContains(data, want) {
+				t.Errorf("400 body does not enumerate %q: %s", want, data)
+			}
 		}
 	}
 
 	// A greedy answer never solves the LP, so it reports no formulation.
-	resp, data = postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Instance: in, Algo: "greedy"})
+	resp, data := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Instance: in, Algo: "greedy"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("greedy: status %d: %s", resp.StatusCode, data)
 	}
@@ -79,7 +82,7 @@ func containsStr(s, sub string) bool {
 func TestV2FormulationAutoMincut(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	// ~500 tasks on 64 machines: segment mass ~40 per task clears the
-	// mincut crossover (mincutFormulationMin) while n stays well inside
+	// mincut crossover (allot.MincutFormulationMin) while n stays well inside
 	// the server's paper-tier budget.
 	in := generatedInstance(t, 500, 64)
 

@@ -19,7 +19,7 @@ const metricsSchemaVersion = 2
 
 // formulationStats aggregates phase-1 LP effort per formulation. Cuts and
 // Rounds carry the formulation's own meaning (see malsched.Result): lazy
-// cuts and separation rounds on the simplex routes, parameter breakpoints
+// cuts and separation rounds on the lazy route, parameter breakpoints
 // and flow augmentations on the min-cut sweep.
 type formulationStats struct {
 	Solves   int64 `json:"solves"`

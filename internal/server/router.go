@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"malsched"
+	"malsched/internal/allot"
 )
 
 // Adaptive solver routing: requests that do not pin an algorithm are routed
@@ -22,14 +23,13 @@ import (
 // "algo": "ltw" (the comparison baseline of the paper's Table 3).
 //
 // The cost model is a two-regime fit of the committed benchmarks
-// (EXPERIMENTS.md E13/E16, Xeon 2.10GHz). In the simplex regimes (small
-// segment mass: the lazy and segment formulations) BenchmarkPhase1LP
-// runs at ~0.5 µs·n² around n=200 up to ~2.7 µs·n² at n=2000, and the
+// (EXPERIMENTS.md E13/E16, Xeon 2.10GHz). In the simplex regime (small
+// segment mass: the lazy formulation) BenchmarkPhase1LP runs at
+// ~0.5 µs·n² around n=200 up to ~2.7 µs·n² at n=2000, and the
 // coefficient is pinned near the top of that band so deadline estimates
 // stay conservative at the scales where overshooting hurts most. Past
-// the internal router's min-cut window (frontier segment mass >= 6000,
-// allot's mincutFormulationMin) phase 1 is the parametric sweep
-// instead, measured at ~0.28 µs·n² (n=2000/m=64) to ~0.46 µs·n²
+// allot.MincutFormulationMin frontier segments phase 1 is the parametric
+// sweep instead, measured at ~0.28 µs·n² (n=2000/m=64) to ~0.46 µs·n²
 // (n=10000/m=64) — the large-n coefficient sits above that band too.
 // Deadlines only reroute when the estimate overshoots them outright.
 const (
@@ -39,13 +39,6 @@ const (
 	// mincutNSPerN2 is the same estimate once the instance lands in the
 	// min-cut window.
 	mincutNSPerN2 = 600
-	// mincutMassEst mirrors allot's mincutFormulationMin: beyond this
-	// estimated frontier segment mass phase 1 runs the parametric sweep.
-	// The router cannot afford to build frontiers just to route, so the
-	// mass is estimated at ~2/3 segments per task per machine less one —
-	// the density measured on the mixed-family benchmark instances
-	// (~41 of 63 at m=64).
-	mincutMassEst = 6000
 	// autoPaperBudget caps the paper algorithm's estimate for
 	// deadline-free auto requests — the most a serving worker should
 	// sink into one unconstrained request. With phase 1 on the
@@ -57,10 +50,13 @@ const (
 
 // paperEstimate predicts a paper solve's latency from the shape the
 // router can see without building anything: task count and machine
-// count.
+// count. The router cannot afford to build frontiers just to route, so
+// the segment mass it compares with allot's threshold is estimated at
+// ~2/3 segments per task per machine less one — the density measured on
+// the mixed-family benchmark instances (~41 of 63 at m=64).
 func paperEstimate(n, m int) time.Duration {
 	coef := int64(paperNSPerN2)
-	if segs := 2 * (m - 1) / 3; segs >= 1 && n*segs >= mincutMassEst {
+	if segs := 2 * (m - 1) / 3; segs >= 1 && n*segs >= allot.MincutFormulationMin {
 		coef = mincutNSPerN2
 	}
 	return time.Duration(coef * int64(n) * int64(n))

@@ -84,7 +84,7 @@ type SolveRequestV2 struct {
 	NoCache         bool     `json:"no_cache,omitempty"`
 	IncludeSchedule bool     `json:"include_schedule,omitempty"`
 	// Formulation pins the phase-1 LP formulation of a paper-tier solve
-	// (lazy, segment, mincut or dense); empty lets the solver's internal
+	// (lazy, mincut or dense); empty lets the solver's internal
 	// router pick by instance shape. Unknown values are a 400. Pins other
 	// than lazy disable LP state capture, so such answers cannot seed a
 	// later warm delta solve.
@@ -111,7 +111,7 @@ type SolveResponseV2 struct {
 	// lane was full.
 	Refine string `json:"refine,omitempty"`
 	// Formulation is the phase-1 LP formulation that produced this answer
-	// (lazy, segment, mincut or dense); empty for baseline algorithms,
+	// (lazy, mincut or dense); empty for baseline algorithms,
 	// which never solve the LP.
 	Formulation string `json:"formulation,omitempty"`
 }
@@ -485,7 +485,7 @@ func (s *Server) degrade(ctx context.Context, in *malsched.Instance, dec routeDe
 		if req.Mu != nil {
 			opts = append(opts, malsched.WithMu(*req.Mu))
 		}
-		opts = append(opts, malsched.WithDenseLP())
+		opts = append(opts, malsched.WithFormulation(malsched.FormulationDense))
 		if res, err := s.pool.SolveAlgo(ctx, malsched.AlgoPaper, in, opts...); err == nil {
 			s.stats.Add("degrade_dense", 1)
 			return &solution{

@@ -150,8 +150,8 @@ type Result struct {
 	// the allotment problem ("" for baseline heuristics, which skip it).
 	Formulation Formulation
 	// LPCuts and LPRounds are phase-1 effort diagnostics, with
-	// formulation-dependent meaning: the simplex routes report lazy cuts
-	// added and separation rounds, the min-cut sweep reports parameter
+	// formulation-dependent meaning: the lazy route reports cuts added
+	// and separation rounds, the min-cut sweep reports parameter
 	// breakpoints and flow augmentations. Both 0 for baselines.
 	LPCuts   int
 	LPRounds int
@@ -169,28 +169,26 @@ type solveConfig struct {
 }
 
 // Formulation names a phase-1 LP formulation: the lazy-cut sparse
-// simplex, the segment-variable simplex, the parametric min-cut sweep,
-// or the dense reference oracle. The empty value lets the router pick
-// by instance shape.
+// simplex, the parametric min-cut sweep, or the dense reference oracle.
+// The empty value lets the router pick by instance shape.
 type Formulation = allot.Formulation
 
 // The phase-1 formulations a solve can report or be pinned to.
 const (
-	FormulationLazy    = allot.FormulationLazy
-	FormulationSegment = allot.FormulationSegment
-	FormulationMincut  = allot.FormulationMincut
-	FormulationDense   = allot.FormulationDense
+	FormulationLazy   = allot.FormulationLazy
+	FormulationMincut = allot.FormulationMincut
+	FormulationDense  = allot.FormulationDense
 )
 
 // ParseFormulation validates a formulation name from an external surface
 // (API request, CLI flag). The empty string parses to the auto route.
 func ParseFormulation(s string) (Formulation, error) {
 	switch f := Formulation(s); f {
-	case "", FormulationLazy, FormulationSegment, FormulationMincut, FormulationDense:
+	case "", FormulationLazy, FormulationMincut, FormulationDense:
 		return f, nil
 	}
-	return "", fmt.Errorf("malsched: unknown formulation %q (valid: %s, %s, %s, %s)",
-		s, FormulationLazy, FormulationSegment, FormulationMincut, FormulationDense)
+	return "", fmt.Errorf("malsched: unknown formulation %q (valid: %s, %s, %s)",
+		s, FormulationLazy, FormulationMincut, FormulationDense)
 }
 
 // Option configures Solve.
@@ -208,19 +206,14 @@ func WithMu(mu int) Option {
 
 // WithFormulation pins the phase-1 LP formulation instead of letting the
 // router pick by instance shape. Pins other than lazy are incompatible
-// with warm-start capture (snapshots only exist on the lazy route).
+// with warm-start capture (snapshots only exist on the lazy route). The
+// dense pin materialises every supporting line, so it is only viable for
+// small instances; it is the serving layer's fallback rung when the
+// sparse path hits numerical trouble (the dense route shares none of the
+// sparse solver's basis machinery, so those failures do not reproduce on
+// it).
 func WithFormulation(f Formulation) Option {
 	return func(o *solveConfig) { o.core.Formulation = f }
-}
-
-// WithDenseLP routes phase 1 through the dense reference LP oracle instead
-// of the sparse simplex. The dense tableau materialises every supporting
-// line, so this is only viable for small instances; it exists as the
-// serving layer's fallback rung when the sparse path hits numerical
-// trouble (the dense route shares none of the sparse solver's basis
-// machinery, so failures there do not reproduce here).
-func WithDenseLP() Option {
-	return func(o *solveConfig) { o.core.DenseLP = true }
 }
 
 // Solve runs the paper's two-phase approximation algorithm with the

@@ -265,9 +265,10 @@ func TestPoolCancelMidBatch(t *testing.T) {
 }
 
 // TestPoolRecoversPanickingSolve drives a panic through the public API (an
-// option that panics stands in for any instance whose solve panics): the
-// panicking job must come back as an error, siblings must be unaffected,
-// and the worker must survive.
+// option that panics stands in for any instance whose solve panics, a
+// cut-separation scan included): the panicking job must come back as an
+// error the degradation ladder classifies as FailPanic, siblings must be
+// unaffected, and the worker must survive.
 func TestPoolRecoversPanickingSolve(t *testing.T) {
 	ins := testBatch(t)[:3]
 	pool := NewPool(1) // serial execution: jobs run in submission order
@@ -283,6 +284,9 @@ func TestPoolRecoversPanickingSolve(t *testing.T) {
 	out := pool.SolveBatch(context.Background(), ins, boomSecond)
 	if out[1].Err == nil || !strings.Contains(out[1].Err.Error(), "panic") {
 		t.Errorf("panicking instance: err=%v, want panic error", out[1].Err)
+	}
+	if k := ClassifyFailure(out[1].Err); k != FailPanic {
+		t.Errorf("panic classified as %q, want %q", k, FailPanic)
 	}
 	for _, i := range []int{0, 2} {
 		if out[i].Err != nil || out[i].Result == nil {

@@ -30,10 +30,11 @@ func (st *SolverState) StructureFingerprint() string {
 	return st.structFP
 }
 
-// WithCapture asks the solve to export a SolverState in Result.State. The
-// phase-1 LP is forced onto the lazy-cut formulation (the only one whose
-// bases are transplantable), which can cost some speed on instances the
-// solver would otherwise route to the segment formulation.
+// WithCapture asks the solve to export a SolverState in Result.State.
+// Capture is best-effort: only the lazy-cut formulation leaves a
+// transplantable basis, so a solve the router sends to the min-cut sweep
+// returns no state. Pin WithFormulation(FormulationLazy) to make capture
+// unconditional.
 func WithCapture() Option {
 	return func(o *solveConfig) { o.capture = true }
 }
