@@ -24,7 +24,7 @@ BENCH_SMOKE = Phase1LP|WorkspaceReuse|PoolThroughput|List$$|ListReference/layere
 # gate on scheduler jitter).
 BENCH_KEY = BenchmarkPhase1LP/|BenchmarkList/|BenchmarkServe/|BenchmarkServeDelta/
 
-.PHONY: all build test race bench-module bench bench-json bench-gate chaos cover lint lint-selftest staticcheck govulncheck fuzz-smoke ci testdata
+.PHONY: all build test race bench-module linkcheck bench bench-json bench-gate chaos cover lint lint-selftest staticcheck govulncheck fuzz-smoke ci testdata
 
 all: build
 
@@ -42,6 +42,29 @@ race:
 # change that breaks it fails CI instead of the next benchmark run.
 bench-module:
 	cd perfbench && $(GO) vet . && $(GO) test .
+
+# The tests' oracles — the dense tableau, LP (10), the reference and
+# lazy-heap LIST schedulers — sit in production packages, but no
+# production path may call them. The linker drops unreferenced code, so
+# an oracle symbol in either shipped binary means a production caller.
+# It fails closed: a build or nm error, or a symbol table without
+# main.main, is a failure, not an empty match.
+linkcheck:
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	$(GO) build -o "$$dir/" ./cmd/malschedd ./cmd/malsched; \
+	for b in malschedd malsched; do \
+		$(GO) tool nm "$$dir/$$b" > "$$dir/$$b.nm"; \
+		grep -q ' T main\.main$$' "$$dir/$$b.nm" || { echo "linkcheck: no main.main in $$b's symbols" >&2; exit 1; }; \
+		if grep -F "$$dir/$$b.nm" \
+			-e 'malsched/internal/lp.(*Problem).SolveDense' \
+			-e 'malsched/internal/allot.SolveLPReference' \
+			-e 'malsched/internal/allot.SolveLP10' \
+			-e 'malsched/internal/listsched.RunReference' \
+			-e 'malsched/internal/listsched.RunLazyHeap' >&2; then \
+			echo "linkcheck: $$b links the test-only oracles above" >&2; exit 1; \
+		fi; \
+	done; \
+	echo "linkcheck: no oracle linked into malschedd or malsched"
 
 # The CI smoke job runs the same benchmarks with -benchtime=1x; locally the
 # default benchtime gives stable numbers.
@@ -145,7 +168,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFormulation$$' -fuzztime=10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzQuantize$$' -fuzztime=10s .
 
-ci: lint lint-selftest staticcheck govulncheck build race bench-module
+ci: lint lint-selftest staticcheck govulncheck build linkcheck race bench-module
 	$(GO) test -run '^$$' -bench '$(BENCH_SMOKE)' -benchtime=1x -benchmem .
 
 # Regenerate the canned instances under testdata/ (families x machine sizes

@@ -127,7 +127,7 @@ func BenchmarkEndToEnd(b *testing.B) {
 			in := gen.Instance(gen.ErdosDAG(cfg.n, 0.2, rng), gen.FamilyMixed, cfg.m, rng)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := core.Solve(in, core.Options{SkipVerify: true})
+				res, err := core.Solve(in, core.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -493,7 +493,7 @@ func BenchmarkExactRatio(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		opt := bruteforce.Optimal(in)
-		res, err := core.Solve(in, core.Options{SkipVerify: true})
+		res, err := core.Solve(in, core.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -533,7 +533,7 @@ func BenchmarkAblationRho(b *testing.B) {
 	for _, rho := range []float64{0, 0.26, 0.5, 1} {
 		b.Run(fmt.Sprintf("rho%.2f", rho), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.Solve(in, core.Options{Rho: rho, RhoSet: true, SkipVerify: true})
+				res, err := core.Solve(in, core.Options{Rho: rho, RhoSet: true})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -550,7 +550,7 @@ func BenchmarkAblationMu(b *testing.B) {
 	for _, mu := range []int{1, 3, 5, 6} {
 		b.Run(fmt.Sprintf("mu%d", mu), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := core.Solve(in, core.Options{Mu: mu, SkipVerify: true})
+				res, err := core.Solve(in, core.Options{Mu: mu})
 				if err != nil {
 					b.Fatal(err)
 				}

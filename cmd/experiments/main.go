@@ -43,7 +43,7 @@ func main() {
 	exact := flag.Bool("exact", false, "run the brute-force exact study instead")
 	phase1 := flag.Bool("phase1", false, "run the phase-1 LP scaling study instead")
 	phase1max := flag.Int("phase1max", 2000, "largest task count for -phase1")
-	phase1form := flag.String("phase1formulation", "", "pin the -phase1 formulation: lazy, mincut or dense (empty = auto routing)")
+	phase1form := flag.String("phase1formulation", "", "pin the -phase1 formulation: lazy or mincut (empty = auto routing)")
 	n := flag.Int("n", 24, "tasks per instance (approximate)")
 	workers := flag.Int("workers", 0, "solver workers (0 = GOMAXPROCS)")
 	flag.Parse()

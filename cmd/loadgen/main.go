@@ -88,7 +88,7 @@ func main() {
 	testdataDir := flag.String("testdata", "testdata", "directory of instance JSON files")
 	genExtra := flag.Int("gen", 0, "additional generated layered n=96 m=16 instances in the mix")
 	algo := flag.String("algo", "", "algo field for every request (empty = auto routing)")
-	formulation := flag.String("formulation", "", "formulation field for every request: lazy, mincut or dense (empty = auto; v2 only, forces /v2/solve)")
+	formulation := flag.String("formulation", "", "formulation field for every request: lazy or mincut (empty = auto; v2 only, forces /v2/solve)")
 	deadlineMS := flag.Float64("deadline-ms", 0, "deadline_ms field for every request")
 	noCache := flag.Bool("no-cache", false, "bypass the server's result cache (cold path)")
 	edits := flag.Int("edits", 0, "v2 delta workload: edit this many random tasks of a solved base per request (0 = plain /v1 replay)")

@@ -46,7 +46,7 @@ func ClassifyFailure(err error) FailureKind {
 	case errors.Is(err, lp.ErrIterLimit),
 		errors.Is(err, flow.ErrStalled):
 		// A stalled parametric sweep is the flow core's iteration-budget
-		// analogue: progress stopped, a simplex rung can still answer.
+		// analogue: progress stopped, the lazy simplex can still answer.
 		return FailIterLimit
 	case errors.Is(err, lp.ErrSingular):
 		return FailSingular

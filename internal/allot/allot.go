@@ -27,7 +27,7 @@
 // MincutFormulationMin segments SolveLPWith instead routes to the
 // parametric min-cut sweep (mincut.go), which solves the same relaxation
 // without a simplex. SolveLPReference (reference.go) retains the full
-// dense build as the differential-testing oracle for both.
+// dense build as the tests' differential oracle for both.
 package allot
 
 import (
@@ -77,9 +77,9 @@ func (in *Instance) Frontiers() []malleable.Frontier {
 }
 
 // Formulation names one of the interchangeable solve paths for LP (9).
-// All three optimise the same slope-representative relaxation and agree
-// on the optimum to the cut tolerance; they differ in machinery and in
-// which instance shapes they are fast on.
+// Both optimise the same slope-representative relaxation and agree on the
+// optimum to the cut tolerance; they differ in machinery and in which
+// instance shapes they are fast on.
 type Formulation string
 
 const (
@@ -89,10 +89,6 @@ const (
 	// FormulationMincut: Fulkerson's parametric min-cut sweep on the
 	// project-crashing network (mincut.go + internal/flow).
 	FormulationMincut Formulation = "mincut"
-	// FormulationDense: the dense reference tableau (reference.go),
-	// the differential oracle and the degradation ladder's last solver
-	// rung.
-	FormulationDense Formulation = "dense"
 )
 
 // Fractional is the optimal solution of LP (9).
@@ -103,7 +99,7 @@ type Fractional struct {
 	L     float64   // L*: fractional critical-path length
 	W     float64   // W*: fractional total work
 	LStar []float64 // l*_j = w_j(x*_j)/x*_j (Eq. 12)
-	// Formulation records which solve path produced this solution.
+	// Formulation records the engine that solved it (none for the oracle).
 	Formulation Formulation
 	// Cuts and Rounds are per-formulation solve-effort diagnostics: on
 	// the lazy path, supporting-line rows generated beyond the two
@@ -165,8 +161,6 @@ func SolveLPWith(in *Instance, ws *Workspace) (*Fractional, error) {
 	switch ws.ForceFormulation {
 	case FormulationMincut:
 		return solveLPMincut(in, ws, fronts)
-	case FormulationDense:
-		return SolveLPReference(in)
 	case FormulationLazy:
 		// fall through to the lazy-cut loop
 	case "":

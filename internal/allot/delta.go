@@ -7,8 +7,8 @@
 // edited DAG re-solves in a handful of pivots instead of a cold solve.
 //
 // Snapshots only exist for the lazy-cut formulation: the min-cut sweep
-// and the dense reference keep no basis, so callers wanting a snapshot
-// pin the lazy route (ForceFormulation = FormulationLazy).
+// keeps no basis, so callers wanting a snapshot pin the lazy route
+// (ForceFormulation = FormulationLazy).
 package allot
 
 import (

@@ -168,9 +168,11 @@ func TestMincutAutoRouting(t *testing.T) {
 		}
 	}
 
-	ws.ForceFormulation = "segment"
-	if _, err := allot.SolveLPWith(gen.Instance(gen.Chain(3), gen.FamilyMixed, 4, rng), ws); err == nil {
-		t.Errorf("retired formulation %q did not error", ws.ForceFormulation)
+	for _, f := range []allot.Formulation{"segment", "dense"} {
+		ws.ForceFormulation = f
+		if _, err := allot.SolveLPWith(gen.Instance(gen.Chain(3), gen.FamilyMixed, 4, rng), ws); err == nil {
+			t.Errorf("retired formulation %q did not error", f)
+		}
 	}
 	ws.ForceFormulation = ""
 }

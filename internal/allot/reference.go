@@ -79,12 +79,11 @@ func SolveLPReference(in *Instance) (*Fractional, error) {
 	}
 
 	out := &Fractional{
-		X:           make([]float64, n),
-		Wbar:        make([]float64, n),
-		LStar:       make([]float64, n),
-		C:           sol.Obj,
-		L:           sol.X[vL],
-		Formulation: FormulationDense,
+		X:     make([]float64, n),
+		Wbar:  make([]float64, n),
+		LStar: make([]float64, n),
+		C:     sol.Obj,
+		L:     sol.X[vL],
 	}
 	for j := 0; j < n; j++ {
 		out.X[j] = clamp(sol.X[xj(j)], fronts[j].XMin(), fronts[j].XMax())

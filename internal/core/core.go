@@ -37,8 +37,6 @@ type Options struct {
 	RhoSet bool
 	// Mu overrides the allotment threshold when > 0.
 	Mu int
-	// SkipVerify skips the final feasibility check (for benchmarks).
-	SkipVerify bool
 	// CaptureLP asks for a warm-start snapshot of the phase-1 LP in
 	// Result.LPSnapshot. Snapshots only exist on the lazy-cut route (the
 	// other formulations have no transplantable basis), so capture is
@@ -46,14 +44,11 @@ type Options struct {
 	// large instance onto the min-cut sweep — the result simply carries
 	// no snapshot. Pin Formulation to lazy to make capture unconditional.
 	CaptureLP bool
-	// Formulation pins the phase-1 LP formulation (lazy, mincut or
-	// dense); empty lets the router pick by instance shape. A dense pin
-	// routes through the reference oracle (allot.SolveLPReference) — the
-	// degradation ladder's fallback when the sparse path hits numerical
-	// trouble; it materialises all n*m supporting lines, so it is only
-	// viable for small instances. Pins other than lazy are incompatible
-	// with CaptureLP/WarmLP, whose snapshots only exist on the lazy
-	// simplex route.
+	// Formulation pins the phase-1 LP formulation (lazy or mincut);
+	// empty lets the router pick by instance shape, and allot.SolveLPWith
+	// rejects any other name. A mincut pin is incompatible with
+	// CaptureLP/WarmLP, whose snapshots only exist on the lazy simplex
+	// route.
 	Formulation allot.Formulation
 	// WarmLP warm-starts phase 1 from a snapshot captured on an instance
 	// with the same structure (task count, DAG shape, machine count) —
@@ -132,12 +127,6 @@ func SolveWith(in *allot.Instance, opt Options, ws *solver.Workspace) (*Result, 
 		lpws = allot.NewWorkspace() // capture and pinning need a handle on the solve's state
 	}
 	pin := opt.Formulation
-	switch pin {
-	case "", allot.FormulationLazy, allot.FormulationMincut, allot.FormulationDense:
-	default:
-		return nil, fmt.Errorf("core: unknown formulation %q (valid: %s, %s, %s)",
-			pin, allot.FormulationLazy, allot.FormulationMincut, allot.FormulationDense)
-	}
 	if pin != "" && pin != allot.FormulationLazy {
 		if opt.CaptureLP {
 			return nil, fmt.Errorf("core: CaptureLP requires the lazy formulation, not %q", pin)
@@ -149,19 +138,15 @@ func SolveWith(in *allot.Instance, opt Options, ws *solver.Workspace) (*Result, 
 	var frac *allot.Fractional
 	var err error
 	switch {
-	case pin == allot.FormulationDense:
-		frac, err = allot.SolveLPReference(red)
 	case opt.WarmLP != nil:
 		frac, err = allot.SolveLPDeltaWith(red, lpws, opt.WarmLP)
+	case pin != "":
+		prev := lpws.ForceFormulation
+		lpws.ForceFormulation = pin
+		frac, err = allot.SolveLPWith(red, lpws)
+		lpws.ForceFormulation = prev
 	default:
-		if pin != "" {
-			prev := lpws.ForceFormulation
-			lpws.ForceFormulation = pin
-			frac, err = allot.SolveLPWith(red, lpws)
-			lpws.ForceFormulation = prev
-		} else {
-			frac, err = allot.SolveLPWith(red, lpws)
-		}
+		frac, err = allot.SolveLPWith(red, lpws)
 	}
 	if err != nil {
 		return nil, err
@@ -178,10 +163,8 @@ func SolveWith(in *allot.Instance, opt Options, ws *solver.Workspace) (*Result, 
 	if err != nil {
 		return nil, err
 	}
-	if !opt.SkipVerify {
-		if err := sched.Verify(in.G); err != nil {
-			return nil, fmt.Errorf("core: produced infeasible schedule: %w", err)
-		}
+	if err := sched.Verify(in.G); err != nil {
+		return nil, fmt.Errorf("core: produced infeasible schedule: %w", err)
 	}
 
 	lb := frac.L

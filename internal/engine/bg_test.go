@@ -48,17 +48,20 @@ func TestTryBackgroundDropsWhenFull(t *testing.T) {
 	defer p.Close()
 
 	// Park the lone worker on a foreground job so nothing drains the lane.
-	release := make(chan struct{})
+	release, started := make(chan struct{}), make(chan struct{})
 	var fg sync.WaitGroup
 	fg.Add(1)
 	go func() {
 		defer fg.Done()
 		p.RunOne(context.Background(), func(ws *solver.Workspace) error {
+			close(started)
 			<-release
 			return nil
 		})
 	}()
-	waitFor(t, func() bool { return len(p.jobs) == 0 }) // worker picked it up
+	// Wait for the job itself to run: an empty p.jobs also holds before
+	// the goroutine has enqueued it, and an idle worker drains the lane.
+	<-started
 
 	depth := cap(p.bg)
 	for i := 0; i < depth; i++ {

@@ -37,7 +37,7 @@ const (
 	BGLaneDrop = "bg-lane-drop"
 	// FlowSweepStall stalls the parametric min-cut sweep mid-solve, as if
 	// an augmentation budget were exhausted (flow.FaultSweep). Surfaces as
-	// flow.ErrStalled; the ladder retries on a simplex rung.
+	// flow.ErrStalled; the ladder re-solves on the lazy simplex.
 	FlowSweepStall = "flow-sweep-stall"
 )
 

@@ -252,20 +252,9 @@ type simplex struct {
 // objective value. Columns with index >= limit may not enter the basis.
 func (s *simplex) run(cost []float64, limit int) (float64, error) {
 	s.iters = 0
-	// Build the reduced-cost row: z_j = cost_j - cost_B · column_j for the
-	// current basis.
 	red := s.red
-	copy(red, cost)
-	for i, b := range s.basis {
-		cb := cost[b]
-		if cb == 0 {
-			continue
-		}
-		row := s.t[i]
-		for j := 0; j < s.ncols; j++ {
-			red[j] -= cb * row[j]
-		}
-	}
+	s.reduce(cost)
+	fresh := true // red was built from the tableau, not updated since
 
 	maxIter := 200 * (s.nrows + s.ncols)
 	blandAfter := 20 * (s.nrows + s.ncols)
@@ -313,10 +302,19 @@ func (s *simplex) run(cost []float64, limit int) (float64, error) {
 			}
 		}
 		if leave < 0 {
-			return 0, ErrUnbounded
+			if fresh {
+				return 0, ErrUnbounded
+			}
+			// The pivots' incremental updates can drift a zero reduced cost
+			// past -tol on a column with no positive entry. Rebuild the row
+			// from the tableau once and price again before believing it.
+			s.reduce(cost)
+			fresh = true
+			continue
 		}
 
 		s.pivot(leave, enter)
+		fresh = false
 		// Update the reduced-cost row with the same elimination.
 		f := red[enter]
 		if f != 0 {
@@ -328,6 +326,23 @@ func (s *simplex) run(cost []float64, limit int) (float64, error) {
 		}
 	}
 	return 0, ErrIterLimit
+}
+
+// reduce builds the reduced-cost row from the tableau:
+// z_j = cost_j - cost_B · column_j for the current basis.
+func (s *simplex) reduce(cost []float64) {
+	red := s.red
+	copy(red, cost)
+	for i, b := range s.basis {
+		cb := cost[b]
+		if cb == 0 {
+			continue
+		}
+		row := s.t[i]
+		for j := 0; j < s.ncols; j++ {
+			red[j] -= cb * row[j]
+		}
+	}
 }
 
 // pivot performs a Gauss-Jordan pivot on element (r, c).

@@ -72,14 +72,15 @@ func TestChaos(t *testing.T) {
 
 	_, ts := newTestServer(t, Config{Workers: 4, MaxPending: 64, MaxJobs: 64})
 
-	// A small pool of distinct instances: sizes straddle the dense
-	// fallback cap so the ladder's dense and greedy rungs both run.
+	// A small pool of distinct instances, up to the 96x16 serving shape
+	// and a 168-task one. The ladder's engine rung answers most failures;
+	// greedy takes those whose rescue fails too.
 	instances := []*malsched.Instance{
 		loadTestdata(t, "chain_n10_m4.json"),
 		loadTestdata(t, "erdos_n16_m16.json"),
 		generatedInstance(t, 64, 8),
 		generatedInstance(t, 96, 16),
-		generatedInstance(t, denseFallbackMaxTasks+40, 8),
+		generatedInstance(t, 168, 8),
 	}
 
 	var (
@@ -282,7 +283,7 @@ func TestChaos(t *testing.T) {
 	}
 	m := metrics(t, ts)
 	for _, k := range []string{
-		"degrade_attempts", "degrade_dense", "degrade_greedy",
+		"degrade_attempts", "degrade_engine", "degrade_greedy",
 		"degrade_exhausted", "shed_queue_full", "shed_deadline",
 	} {
 		t.Logf("metric %-18s %v", k, m[k])

@@ -9,12 +9,14 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"malsched"
 	"malsched/internal/engine"
+	"malsched/internal/flow"
 	"malsched/internal/gen"
 	"malsched/internal/lp"
 )
@@ -43,18 +45,25 @@ func withLUFault(t *testing.T, fn func() bool) {
 	t.Cleanup(func() { lp.FaultLUFactor = nil })
 }
 
+func withSweepFault(t *testing.T, fn func() bool) {
+	t.Helper()
+	flow.FaultSweep = fn
+	t.Cleanup(func() { flow.FaultSweep = nil })
+}
+
 func withSlowSolve(t *testing.T, d time.Duration) {
 	t.Helper()
 	engine.FaultSlowSolve = func() time.Duration { return d }
 	t.Cleanup(func() { engine.FaultSlowSolve = nil })
 }
 
-// A sparse-simplex failure on a small instance must fall back to the dense
-// oracle: same paper-tier answer, labeled degraded, never a 500.
+// A sparse-simplex failure on the serving shape (96 tasks x 16 machines)
+// must fall back to the min-cut sweep, which factors no basis: same
+// paper-tier answer, labeled degraded, never a 500 and never greedy.
 func TestDegradeDenseRungOnLUFailure(t *testing.T) {
 	withLUFault(t, func() bool { return true })
 	_, ts := newTestServer(t, Config{})
-	in := loadTestdata(t, "chain_n10_m4.json")
+	in := generatedInstance(t, 96, 16)
 
 	resp, data := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Instance: in, Algo: "paper"})
 	if resp.StatusCode != http.StatusOK {
@@ -67,20 +76,25 @@ func TestDegradeDenseRungOnLUFailure(t *testing.T) {
 	if !out.Degraded || out.DegradedReason != "singular-basis" {
 		t.Fatalf("degraded=%v reason=%q, want true/singular-basis: %s", out.Degraded, out.DegradedReason, data)
 	}
-	if out.Algo != "paper" || out.Tier != "paper" {
-		t.Fatalf("dense rung should keep the paper tier, got algo=%s tier=%s", out.Algo, out.Tier)
+	if out.Algo != "paper" || out.Tier != "paper" || out.Formulation != "mincut" {
+		t.Fatalf("engine rung should answer paper tier from mincut, got algo=%s tier=%s formulation=%s",
+			out.Algo, out.Tier, out.Formulation)
 	}
 	if out.Makespan <= 0 {
 		t.Fatalf("degraded answer has no makespan: %s", data)
 	}
+	if got := metrics(t, ts)["degrade_engine"]; got != 1 {
+		t.Fatalf("degrade_engine metric = %v, want 1", got)
+	}
 }
 
-// Beyond the dense rung's size cap the ladder lands on greedy; the answer
-// must say so (algo greedy, degraded label) rather than pretend.
+// With both engines failing the ladder lands on greedy; the answer must
+// say so (algo greedy, degraded label) rather than pretend.
 func TestDegradeGreedyRungOnLargeInstance(t *testing.T) {
 	withLUFault(t, func() bool { return true })
+	withSweepFault(t, func() bool { return true })
 	s, ts := newTestServer(t, Config{})
-	in := generatedInstance(t, denseFallbackMaxTasks+40, 8)
+	in := generatedInstance(t, 168, 8)
 
 	resp, data := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Instance: in, Algo: "paper"})
 	if resp.StatusCode != http.StatusOK {
@@ -98,10 +112,11 @@ func TestDegradeGreedyRungOnLargeInstance(t *testing.T) {
 	}
 
 	// The degraded answer must not pollute the exact paper key: once the
-	// fault clears, the same pinned request re-solves and comes back
+	// faults clear, the same pinned request re-solves and comes back
 	// undegraded (a cache hit here would mean the greedy fallback had
 	// been stored under the paper algorithm's key).
 	lp.FaultLUFactor = nil
+	flow.FaultSweep = nil
 	resp, data = postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Instance: in, Algo: "paper"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-fault status %d: %s", resp.StatusCode, data)
@@ -114,6 +129,89 @@ func TestDegradeGreedyRungOnLargeInstance(t *testing.T) {
 		t.Fatalf("post-fault answer still degraded: %s", data)
 	}
 	_ = s
+}
+
+// A stalled sweep on a mincut-pinned request is re-solved on the lazy
+// simplex: the paper tier, labeled with the sweep's failure class.
+func TestDegradeEngineRungLazyAfterSweepStall(t *testing.T) {
+	withSweepFault(t, func() bool { return true })
+	_, ts := newTestServer(t, Config{})
+	in := generatedInstance(t, 96, 16)
+
+	resp, data := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Instance: in, Algo: "paper", Formulation: "mincut"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200: %s", resp.StatusCode, data)
+	}
+	out := decodeSolveV2(t, data)
+	if !out.Degraded || out.DegradedReason != "iteration-limit" {
+		t.Fatalf("degraded=%v reason=%q, want true/iteration-limit: %s", out.Degraded, out.DegradedReason, data)
+	}
+	if out.Algo != "paper" || out.Tier != "paper" || out.Formulation != "lazy" {
+		t.Fatalf("want paper tier from lazy, got algo=%s tier=%s formulation=%s", out.Algo, out.Tier, out.Formulation)
+	}
+	if got := metrics(t, ts)["degrade_engine"]; got != 1 {
+		t.Fatalf("degrade_engine metric = %v, want 1", got)
+	}
+}
+
+// The engine rung runs only when the router's estimate fits what is left
+// of the request's budget. A deadline well under the estimate sends the
+// same stalled request to greedy instead. The deadline sits above the
+// 5 ms shed floor, so only a queue wait past it could shed.
+func TestDegradeEngineRungRespectsDeadline(t *testing.T) {
+	withSweepFault(t, func() bool { return true })
+	_, ts := newTestServer(t, Config{})
+	in := generatedInstance(t, 96, 16)
+	const deadlineMS = 10
+	if est := paperEstimate(len(in.Tasks), in.M); est <= deadlineMS*time.Millisecond {
+		t.Fatalf("paper estimate %v fits the %d ms deadline; the test needs it not to", est, deadlineMS)
+	}
+
+	resp, data := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{
+		Instance: in, Algo: "paper", Formulation: "mincut", DeadlineMS: deadlineMS,
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200: %s", resp.StatusCode, data)
+	}
+	out := decodeSolveV2(t, data)
+	if !out.Degraded || out.DegradedReason != "iteration-limit" || out.Algo != "greedy" || out.Tier != "greedy" {
+		t.Fatalf("want a degraded greedy answer labeled iteration-limit, got degraded=%v reason=%q algo=%s tier=%s",
+			out.Degraded, out.DegradedReason, out.Algo, out.Tier)
+	}
+	m := metrics(t, ts)
+	if m["degrade_engine"] != 0 || m["degrade_greedy"] != 1 {
+		t.Fatalf("degrade_engine=%v degrade_greedy=%v, want 0 and 1", m["degrade_engine"], m["degrade_greedy"])
+	}
+}
+
+// Inside the min-cut window the router's estimate does not price a lazy
+// re-solve (the record has lazy there at up to 5.5x it), so a stalled
+// sweep on an auto-routed request goes straight to greedy, even with a
+// deadline the lazy estimate would fit.
+func TestDegradeMincutWindowSkipsEngineRung(t *testing.T) {
+	withSweepFault(t, func() bool { return true })
+	_, ts := newTestServer(t, Config{})
+	in := generatedInstance(t, 200, 64)
+	if !inMincutWindow(len(in.Tasks), in.M) {
+		t.Fatalf("n=%d m=%d is outside the min-cut window; the test needs it inside", len(in.Tasks), in.M)
+	}
+
+	resp, data := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Instance: in, DeadlineMS: 5000})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d, want 200: %s", resp.StatusCode, data)
+	}
+	out := decodeSolveV2(t, data)
+	if !out.Routed || !strings.Contains(out.RouteReason, "within deadline") {
+		t.Fatalf("want the router to pick paper within the deadline, got routed=%v reason=%q", out.Routed, out.RouteReason)
+	}
+	if !out.Degraded || out.DegradedReason != "iteration-limit" || out.Algo != "greedy" || out.Tier != "greedy" {
+		t.Fatalf("want a degraded greedy answer labeled iteration-limit, got degraded=%v reason=%q algo=%s tier=%s",
+			out.Degraded, out.DegradedReason, out.Algo, out.Tier)
+	}
+	m := metrics(t, ts)
+	if m["degrade_engine"] != 0 || m["degrade_greedy"] != 1 {
+		t.Fatalf("degrade_engine=%v degrade_greedy=%v, want 0 and 1", m["degrade_engine"], m["degrade_greedy"])
+	}
 }
 
 // A once-only LU failure must never surface as a 500: either the solver's

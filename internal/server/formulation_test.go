@@ -9,13 +9,13 @@ import (
 
 // TestV2FormulationPin pins each formulation on a small instance and
 // checks the response reports exactly what ran; an unknown pin — the
-// retired "segment" route among them — is a 400 whose message
-// enumerates the valid values.
+// retired "segment" and "dense" routes among them — is a 400 whose
+// message enumerates the valid values, lazy and mincut only.
 func TestV2FormulationPin(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	in := loadTestdata(t, "chain_n10_m4.json")
 
-	for _, f := range []string{"lazy", "mincut", "dense"} {
+	for _, f := range []string{"lazy", "mincut"} {
 		resp, data := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{
 			Instance: in, Algo: "paper", Formulation: f,
 		})
@@ -31,17 +31,15 @@ func TestV2FormulationPin(t *testing.T) {
 		}
 	}
 
-	for _, f := range []string{"segment", "simplex2000"} {
+	for _, f := range []string{"segment", "dense", "simplex2000"} {
 		resp, data := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{
 			Instance: in, Formulation: f,
 		})
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("unknown formulation %q: status %d: %s", f, resp.StatusCode, data)
 		}
-		for _, want := range []string{"lazy", "mincut", "dense"} {
-			if !jsonErrorContains(data, want) {
-				t.Errorf("400 body does not enumerate %q: %s", want, data)
-			}
+		if !jsonErrorContains(data, "(valid: lazy, mincut)") {
+			t.Errorf("400 body does not enumerate exactly lazy and mincut: %s", data)
 		}
 	}
 

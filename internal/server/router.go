@@ -48,15 +48,22 @@ const (
 	autoPaperBudget = 60 * time.Second
 )
 
-// paperEstimate predicts a paper solve's latency from the shape the
-// router can see without building anything: task count and machine
-// count. The router cannot afford to build frontiers just to route, so
-// the segment mass it compares with allot's threshold is estimated at
-// ~2/3 segments per task per machine less one — the density measured on
-// the mixed-family benchmark instances (~41 of 63 at m=64).
+// inMincutWindow reports whether the router expects allot to send an
+// n-task, m-machine instance's phase 1 to the min-cut sweep, from the
+// shape it can see without building anything. The router cannot afford
+// to build frontiers just to route, so the segment mass it compares with
+// allot's threshold is estimated at ~2/3 segments per task per machine
+// less one — the density measured on the mixed-family benchmark
+// instances (~41 of 63 at m=64).
+func inMincutWindow(n, m int) bool {
+	segs := 2 * (m - 1) / 3
+	return segs >= 1 && n*segs >= allot.MincutFormulationMin
+}
+
+// paperEstimate predicts a paper solve's latency from the shape.
 func paperEstimate(n, m int) time.Duration {
 	coef := int64(paperNSPerN2)
-	if segs := 2 * (m - 1) / 3; segs >= 1 && n*segs >= allot.MincutFormulationMin {
+	if inMincutWindow(n, m) {
 		coef = mincutNSPerN2
 	}
 	return time.Duration(coef * int64(n) * int64(n))

@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"malsched"
+	"malsched/internal/flow"
 )
 
 // maxDeltaEdits is the edit budget of the delta path: a request whose
@@ -84,10 +85,9 @@ type SolveRequestV2 struct {
 	NoCache         bool     `json:"no_cache,omitempty"`
 	IncludeSchedule bool     `json:"include_schedule,omitempty"`
 	// Formulation pins the phase-1 LP formulation of a paper-tier solve
-	// (lazy, mincut or dense); empty lets the solver's internal
-	// router pick by instance shape. Unknown values are a 400. Pins other
-	// than lazy disable LP state capture, so such answers cannot seed a
-	// later warm delta solve.
+	// (lazy or mincut); empty lets the solver's internal router pick by
+	// instance shape. Unknown values are a 400. A mincut pin disables LP
+	// state capture, so such answers cannot seed a later warm delta solve.
 	Formulation string `json:"formulation,omitempty"`
 }
 
@@ -111,8 +111,8 @@ type SolveResponseV2 struct {
 	// lane was full.
 	Refine string `json:"refine,omitempty"`
 	// Formulation is the phase-1 LP formulation that produced this answer
-	// (lazy, mincut or dense); empty for baseline algorithms,
-	// which never solve the LP.
+	// (lazy or mincut; a degraded answer reports the engine that rescued
+	// it); empty for baseline algorithms, which never solve the LP.
 	Formulation string `json:"formulation,omitempty"`
 }
 
@@ -355,7 +355,7 @@ func (s *Server) serve(ctx context.Context, req *SolveRequestV2, legacy bool) (*
 			// failed leader fans its error out to every singleflight waiter
 			// at once, and each running its own fallback would turn one
 			// fault into a re-solve stampede.
-			dsol, reason, ok := s.degradeShared(ctx, in, fp, dec, err, req, start, useCache)
+			dsol, reason, ok := s.degradeShared(ctx, in, fp, dec, err, req, deadline, start, useCache)
 			if !ok {
 				if ctxErr := ctx.Err(); ctxErr != nil {
 					err = ctxErr
@@ -411,18 +411,6 @@ func (s *Server) serve(ctx context.Context, req *SolveRequestV2, legacy bool) (*
 	return resp, nil
 }
 
-// denseFallbackMaxTasks and denseFallbackMaxCells cap the dense-oracle
-// rung of the degradation ladder: the dense tableau materialises all n*m
-// supporting lines, so its cost scales with the task count *and* the
-// machine count. Past either bound the rung would trade a numerical
-// failure for a tableau storm (a 96-task, 16-machine instance already
-// pivots over a ~2000x3000 dense tableau); such instances fall straight
-// through to the greedy rung.
-const (
-	denseFallbackMaxTasks = 128
-	denseFallbackMaxCells = 1024
-)
-
 // degradeShared runs the degradation ladder at most once per request
 // identity: concurrent requests that inherited the same leader's failure
 // share one fallback solve through the cache's singleflight (under a
@@ -430,16 +418,16 @@ const (
 // would be read from). Without this, a failed leader turns every waiter
 // into an independent fallback solver at once. Cache-less requests fall
 // back to a direct ladder run.
-func (s *Server) degradeShared(ctx context.Context, in *malsched.Instance, fp string, dec routeDecision, cause error, req *SolveRequestV2, start time.Time, useCache bool) (*solution, string, bool) {
+func (s *Server) degradeShared(ctx context.Context, in *malsched.Instance, fp string, dec routeDecision, cause error, req *SolveRequestV2, deadline time.Duration, start time.Time, useCache bool) (*solution, string, bool) {
 	if !useCache {
-		return s.degrade(ctx, in, dec, cause, req, start)
+		return s.degrade(ctx, in, dec, cause, req, deadline, start)
 	}
 	kind := malsched.ClassifyFailure(cause)
 	if !kind.Recoverable() {
 		return nil, "", false
 	}
 	dsol, _, err := s.cache.do(ctx, "d|"+exactKey(fp, dec.algo, req), func() (*solution, error) {
-		d, _, ok := s.degrade(ctx, in, dec, cause, req, start)
+		d, _, ok := s.degrade(ctx, in, dec, cause, req, deadline, start)
 		if !ok {
 			// Report a dead context as such so live waiters retry the
 			// flight (cache.do's cancellation rule) instead of failing a
@@ -465,10 +453,14 @@ func (s *Server) degradeShared(ctx context.Context, in *malsched.Instance, fp st
 // ok=false — and the caller surfaces the original error — when the failure
 // is not recoverable (bad request, cancellation) or every rung failed too.
 //
-//	rung 1: dense LP oracle — same paper-tier answer, none of the sparse
-//	        solver's basis machinery; small instances only.
+//	rung 1: the other exact phase-1 engine, same paper tier. Outside the
+//	        min-cut window the router predicts lazy for an unpinned
+//	        request, so a stalled sweep or a mincut pin re-solves on lazy
+//	        and any other failure on the sweep, which factors no basis.
+//	        Taken only there, and only when the router's estimate fits
+//	        what is left of the budget (measurements: DESIGN.md §9).
 //	rung 2: greedy critical path — always cheap, tier "greedy".
-func (s *Server) degrade(ctx context.Context, in *malsched.Instance, dec routeDecision, cause error, req *SolveRequestV2, start time.Time) (*solution, string, bool) {
+func (s *Server) degrade(ctx context.Context, in *malsched.Instance, dec routeDecision, cause error, req *SolveRequestV2, deadline time.Duration, start time.Time) (*solution, string, bool) {
 	kind := malsched.ClassifyFailure(cause)
 	if !kind.Recoverable() {
 		return nil, "", false
@@ -476,18 +468,26 @@ func (s *Server) degrade(ctx context.Context, in *malsched.Instance, dec routeDe
 	reason := kind.String()
 	s.stats.Add("degrade_attempts", 1)
 	s.recordFormulationDegrade(req.Formulation)
-	if dec.algo == malsched.AlgoPaper && len(in.Tasks) <= denseFallbackMaxTasks &&
-		len(in.Tasks)*in.M <= denseFallbackMaxCells {
-		var opts []malsched.Option
+	budget := autoPaperBudget
+	if deadline > 0 {
+		budget = deadline
+	}
+	n := len(in.Tasks)
+	if dec.algo == malsched.AlgoPaper && !inMincutWindow(n, in.M) &&
+		paperEstimate(n, in.M) <= budget-time.Since(start) {
+		other := malsched.FormulationMincut
+		if errors.Is(cause, flow.ErrStalled) || req.Formulation == string(malsched.FormulationMincut) {
+			other = malsched.FormulationLazy
+		}
+		opts := []malsched.Option{malsched.WithFormulation(other)}
 		if req.Rho != nil {
 			opts = append(opts, malsched.WithRho(*req.Rho))
 		}
 		if req.Mu != nil {
 			opts = append(opts, malsched.WithMu(*req.Mu))
 		}
-		opts = append(opts, malsched.WithFormulation(malsched.FormulationDense))
 		if res, err := s.pool.SolveAlgo(ctx, malsched.AlgoPaper, in, opts...); err == nil {
-			s.stats.Add("degrade_dense", 1)
+			s.stats.Add("degrade_engine", 1)
 			return &solution{
 				res: res, algo: malsched.AlgoPaper, tier: tierPaper,
 				inst: in, coldNS: int64(time.Since(start)),

@@ -169,26 +169,25 @@ type solveConfig struct {
 }
 
 // Formulation names a phase-1 LP formulation: the lazy-cut sparse
-// simplex, the parametric min-cut sweep, or the dense reference oracle.
-// The empty value lets the router pick by instance shape.
+// simplex or the parametric min-cut sweep. The empty value lets the
+// router pick by instance shape.
 type Formulation = allot.Formulation
 
 // The phase-1 formulations a solve can report or be pinned to.
 const (
 	FormulationLazy   = allot.FormulationLazy
 	FormulationMincut = allot.FormulationMincut
-	FormulationDense  = allot.FormulationDense
 )
 
 // ParseFormulation validates a formulation name from an external surface
 // (API request, CLI flag). The empty string parses to the auto route.
 func ParseFormulation(s string) (Formulation, error) {
 	switch f := Formulation(s); f {
-	case "", FormulationLazy, FormulationMincut, FormulationDense:
+	case "", FormulationLazy, FormulationMincut:
 		return f, nil
 	}
-	return "", fmt.Errorf("malsched: unknown formulation %q (valid: %s, %s, %s)",
-		s, FormulationLazy, FormulationMincut, FormulationDense)
+	return "", fmt.Errorf("malsched: unknown formulation %q (valid: %s, %s)",
+		s, FormulationLazy, FormulationMincut)
 }
 
 // Option configures Solve.
@@ -205,13 +204,10 @@ func WithMu(mu int) Option {
 }
 
 // WithFormulation pins the phase-1 LP formulation instead of letting the
-// router pick by instance shape. Pins other than lazy are incompatible
-// with warm-start capture (snapshots only exist on the lazy route). The
-// dense pin materialises every supporting line, so it is only viable for
-// small instances; it is the serving layer's fallback rung when the
-// sparse path hits numerical trouble (the dense route shares none of the
-// sparse solver's basis machinery, so those failures do not reproduce on
-// it).
+// router pick by instance shape. A mincut pin is incompatible with
+// warm-start capture (snapshots only exist on the lazy route). The two
+// engines share no numerics — the sweep factors no basis — so the serving
+// layer re-solves on the other one when a solve fails.
 func WithFormulation(f Formulation) Option {
 	return func(o *solveConfig) { o.core.Formulation = f }
 }
