@@ -48,7 +48,11 @@ type Instance struct {
 }
 
 // Validate checks the instance is well-formed and every task satisfies the
-// model assumptions on m processors.
+// model assumptions on m processors, and that its total work at full
+// allotment, the sum of m·p_j(m), is finite. Assumption 2 makes work
+// non-decreasing in the allotment, so that sum bounds every task's work
+// and every schedule's length: past it, makespans and bounds overflow to
+// +Inf.
 func (in *Instance) Validate() error {
 	if in.M < 1 {
 		return fmt.Errorf("allot: machine size %d < 1", in.M)
@@ -59,10 +63,15 @@ func (in *Instance) Validate() error {
 	if err := in.G.Validate(); err != nil {
 		return err
 	}
+	work := 0.0
 	for j, t := range in.Tasks {
 		if err := t.Validate(in.M); err != nil {
 			return fmt.Errorf("task %d (%s): %w", j, t.Name, err)
 		}
+		work += t.Work(in.M)
+	}
+	if math.IsInf(work, 1) {
+		return fmt.Errorf("allot: total work at full allotment (sum of m·p_j(m)) exceeds the float64 limit %g", math.MaxFloat64)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"time"
 
 	"malsched"
 	"malsched/internal/cancelflag"
@@ -38,12 +39,27 @@ type solution struct {
 	// coldNS is the wall time of the originating solve, reported alongside
 	// cache hits so clients can see what the hit saved them.
 	coldNS int64
+	// degraded is the failure class that sent the primary solve down the
+	// degradation ladder ("" for a clean solve). A labelled answer is
+	// valid for its tier, so it may fill a quality slot, but do never
+	// stores it under the flight's key: that key promises the answer of
+	// the algorithm and parameters it names.
+	degraded string
+}
+
+// solved wraps a finished solve of algo on in as a cache solution timed
+// from start.
+func solved(res *malsched.Result, algo malsched.Algorithm, in *malsched.Instance, start time.Time) *solution {
+	return &solution{
+		res: res, algo: algo, tier: tierOf(algo),
+		inst: in, state: res.State, coldNS: int64(time.Since(start)),
+	}
 }
 
 // cache is a content-addressed solution cache: a sharded LRU with
 // per-key singleflight. Keys are canonical request identities
-// (Instance.Fingerprint + algorithm + parameter overrides, see
-// solutionKey), so any two byte-different submissions of the same problem
+// (Instance.Fingerprint + algorithm + parameter overrides, see exactKey
+// and qualityKey), so any two byte-different submissions of the same problem
 // meet in the same entry. Sharding keeps lock hold times short under the
 // hundreds of concurrent requests the serving layer is built for;
 // singleflight collapses a thundering herd of identical submissions into
@@ -140,7 +156,9 @@ func (o outcome) String() string {
 // do returns the solution for key, computing it with fn if absent.
 // Concurrent calls for the same key run fn once and share its result;
 // errors are returned to every waiter of that flight but are not cached,
-// so a later call retries. A nil cache always computes (bypass).
+// so a later call retries. Neither is a degraded answer (one fn produced
+// on the ladder): every waiter of its flight shares it, and the next call
+// runs fn again. A nil cache always computes (bypass).
 //
 // ctx is the *waiter's* context: a waiter whose flight leader was cancelled
 // inherits the leader's context error, which says nothing about this
@@ -178,7 +196,7 @@ func (c *cache) do(ctx context.Context, key string, fn func() (*solution, error)
 
 		s.mu.Lock()
 		delete(s.inflight, key)
-		if f.err == nil {
+		if f.err == nil && f.sol.degraded == "" {
 			s.insertLocked(key, f.sol)
 		}
 		s.mu.Unlock()

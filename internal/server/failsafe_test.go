@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -129,6 +130,99 @@ func TestDegradeGreedyRungOnLargeInstance(t *testing.T) {
 		t.Fatalf("post-fault answer still degraded: %s", data)
 	}
 	_ = s
+}
+
+// The ladder runs inside the primary solve's flight: identical requests
+// that meet in one failing flight share one primary solve and one
+// fallback. A fallback never lands under the flight's exact key, so a
+// later identical request falls back again, while a routed repeat reads
+// it from the quality slot as an ordinary paper-tier hit.
+func TestDegradeRunsOncePerFlight(t *testing.T) {
+	withLUFault(t, func() bool { return true })
+	withSlowSolve(t, 100*time.Millisecond)
+	_, ts := newTestServer(t, Config{})
+	in := generatedInstance(t, 96, 16)
+	pinned := SolveRequestV2{Instance: in, Algo: "paper", Formulation: "lazy"}
+	body, err := json.Marshal(pinned)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const clients = 8
+	outs := make([]SolveResponseV2, clients)
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range outs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-release
+			resp, err := http.Post(ts.URL+"/v2/solve", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			data, _ := io.ReadAll(resp.Body)
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("client %d: status %d: %s", i, resp.StatusCode, data)
+				return
+			}
+			if err := json.Unmarshal(data, &outs[i]); err != nil {
+				t.Errorf("client %d: %v: %s", i, err, data)
+			}
+		}(i)
+	}
+	close(release)
+	wg.Wait()
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	cache := map[string]int{}
+	for i, out := range outs {
+		cache[out.Cache]++
+		if !out.Degraded || out.DegradedReason != "singular-basis" ||
+			out.Tier != "paper" || out.Formulation != "mincut" {
+			t.Errorf("client %d: degraded=%v reason=%q tier=%s formulation=%s, want a degraded paper answer from mincut labeled singular-basis",
+				i, out.Degraded, out.DegradedReason, out.Tier, out.Formulation)
+		}
+	}
+	if cache["miss"] != 1 || cache["shared"] != clients-1 {
+		t.Errorf("cache outcomes %v, want 1 miss and %d shared", cache, clients-1)
+	}
+	m := metrics(t, ts)
+	if m["degrade_attempts"] != 1 || m["solves_paper"] != 1 {
+		t.Fatalf("degrade_attempts=%v solves_paper=%v, want 1 and 1", m["degrade_attempts"], m["solves_paper"])
+	}
+
+	// A repeat of the pinned request finds no exact entry, re-runs the
+	// failing primary and falls back again.
+	resp, data := postJSON(t, ts.URL+"/v2/solve", pinned)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("repeat: status %d: %s", resp.StatusCode, data)
+	}
+	if out := decodeSolveV2(t, data); !out.Degraded || out.Cache != "miss" {
+		t.Errorf("repeat: degraded=%v cache=%s, want a degraded miss", out.Degraded, out.Cache)
+	}
+	if got := metrics(t, ts)["degrade_attempts"]; got != 2 {
+		t.Errorf("degrade_attempts after the repeat = %v, want 2", got)
+	}
+
+	// A routed request for the same slot is satisfied by the fallback at
+	// its tier, without the label: the label belongs to the flight.
+	resp, data = postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Instance: in, Formulation: "lazy"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("routed repeat: status %d: %s", resp.StatusCode, data)
+	}
+	out := decodeSolveV2(t, data)
+	if out.Cache != "hit" || out.Degraded || out.DegradedReason != "" || out.Tier != "paper" {
+		t.Errorf("routed repeat: cache=%s degraded=%v reason=%q tier=%s, want an undegraded paper-tier hit",
+			out.Cache, out.Degraded, out.DegradedReason, out.Tier)
+	}
+	if got := metrics(t, ts)["degrade_attempts"]; got != 2 {
+		t.Errorf("degrade_attempts after the routed repeat = %v, want 2", got)
+	}
 }
 
 // A stalled sweep on a mincut-pinned request is re-solved on the lazy

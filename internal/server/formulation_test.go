@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"testing"
+
+	"malsched"
 )
 
 // TestV2FormulationPin pins each formulation on a small instance and
@@ -50,6 +52,35 @@ func TestV2FormulationPin(t *testing.T) {
 	}
 	if out := decodeSolveV2(t, data); out.Formulation != "" {
 		t.Errorf("greedy answer reports formulation %q", out.Formulation)
+	}
+}
+
+// TestV2BatchFormulationPin: a batch's formulation pin reaches every
+// item, and an unknown one is each item's error, as on /v2/solve.
+func TestV2BatchFormulationPin(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	ins := []*malsched.Instance{loadTestdata(t, "chain_n10_m4.json"), loadTestdata(t, "forkjoin_n10_m4.json")}
+
+	for _, f := range []string{"mincut", "dense"} {
+		resp, data := postJSON(t, ts.URL+"/v2/batch", BatchRequestV2{Instances: ins, Algo: "paper", Formulation: f})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s batch: status %d: %s", f, resp.StatusCode, data)
+		}
+		var out BatchResponseV2
+		if err := json.Unmarshal(data, &out); err != nil {
+			t.Fatal(err)
+		}
+		if len(out.Results) != len(ins) {
+			t.Fatalf("%s batch: %d results, want %d", f, len(out.Results), len(ins))
+		}
+		for i, it := range out.Results {
+			switch {
+			case f == "mincut" && (it.Result == nil || it.Result.Formulation != "mincut"):
+				t.Errorf("mincut batch item %d: %+v, want formulation mincut", i, it)
+			case f == "dense" && (it.Result != nil || !containsStr(it.Error, "(valid: lazy, mincut)")):
+				t.Errorf("dense batch item %d: %+v, want an error naming lazy and mincut", i, it)
+			}
+		}
 	}
 }
 
@@ -162,7 +193,7 @@ func TestMetricsVersionedShape(t *testing.T) {
 // non-finite deadline_ms, not silent 404s.
 func TestSolutionProbeRejectsNonFinite(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	for _, q := range []string{"rho=NaN", "rho=Inf", "rho=-Inf", "rho=bogus", "mu=NaN", "formulation=simplex2000"} {
+	for _, q := range []string{"rho=NaN", "rho=Inf", "rho=-Inf", "rho=bogus", "mu=NaN", "formulation=simplex2000", "rho=2", "mu=0"} {
 		resp, data := httpGet(t, ts.URL+"/v2/solutions/deadbeef?"+q)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("probe ?%s: status %d, want 400: %s", q, resp.StatusCode, data)

@@ -335,41 +335,39 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := BatchResponse{Results: make([]BatchItem, len(req.Instances))}
-	// Bounded fan-out: one feeder goroutine per pool worker draining a
-	// shared index counter, instead of one goroutine per instance — a
-	// single large batch used to spawn tens of thousands of goroutines
-	// ahead of the worker pool, each pinning its instance and stack while
-	// parked on the pool queue.
-	workers := s.pool.Workers()
-	if workers > len(req.Instances) {
-		workers = len(req.Instances)
-	}
+	s.fanOut(len(req.Instances), func(i int) {
+		one := SolveRequest{
+			Instance: req.Instances[i], Algo: req.Algo, DeadlineMS: req.DeadlineMS,
+			Rho: req.Rho, Mu: req.Mu, NoCache: req.NoCache, IncludeSchedule: req.IncludeSchedule,
+		}
+		res, err := s.solveOne(r.Context(), &one)
+		if err != nil {
+			resp.Results[i].Error = err.Error()
+		} else {
+			resp.Results[i].Result = res
+		}
+	})
+	s.writeJSON(w, http.StatusOK, resp)
+}
+
+// fanOut calls item(i) for every i in [0, n) — the instances of one batch —
+// from one feeder goroutine per pool worker draining a shared index
+// counter. One goroutine per instance would park tens of thousands of
+// goroutines ahead of the worker pool on a large batch, each pinning its
+// instance and stack.
+func (s *Server) fanOut(n int, item func(i int)) {
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := min(s.pool.Workers(), n); w > 0; w-- {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(req.Instances) {
-					return
-				}
-				one := SolveRequest{
-					Instance: req.Instances[i], Algo: req.Algo, DeadlineMS: req.DeadlineMS,
-					Rho: req.Rho, Mu: req.Mu, NoCache: req.NoCache, IncludeSchedule: req.IncludeSchedule,
-				}
-				res, err := s.solveOne(r.Context(), &one)
-				if err != nil {
-					resp.Results[i].Error = err.Error()
-				} else {
-					resp.Results[i].Result = res
-				}
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				item(i)
 			}
 		}()
 	}
 	wg.Wait()
-	s.writeJSON(w, http.StatusOK, resp)
 }
 
 // JobAccepted answers POST /v1/jobs.
@@ -388,6 +386,14 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, errors.New("missing instance"))
 		return
 	}
+	s.submitJob(w, "/v1/jobs/", func(ctx context.Context) (any, error) { return s.solveOne(ctx, &req) })
+}
+
+// submitJob is the async-job runner behind POST /v1/jobs and /v2/jobs: it
+// registers a job (503 + Retry-After past the in-flight bound), runs solve
+// on its own goroutine, and answers 202 with the job's poll URL under
+// prefix. The store keeps solve's result only when it succeeds.
+func (s *Server) submitJob(w http.ResponseWriter, prefix string, solve func(context.Context) (any, error)) {
 	id, err := s.jobs.create(time.Now())
 	if errors.Is(err, errJobsBusy) {
 		w.Header().Set("Retry-After", retryAfterSeconds)
@@ -401,12 +407,12 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	go func() {
 		s.jobs.setRunning(id)
 		// Background context by contract: an accepted job must complete
-		// even after its submitter disconnects.
+		// (and stay queryable) even after its submitter disconnects.
 		//malsched:detach accepted async job outlives its submitter (202 contract)
-		res, err := s.solveOne(context.Background(), &req)
+		res, err := solve(context.Background())
 		s.jobs.finish(id, res, err, time.Now())
 	}()
-	s.writeJSON(w, http.StatusAccepted, JobAccepted{ID: id, URL: "/v1/jobs/" + id})
+	s.writeJSON(w, http.StatusAccepted, JobAccepted{ID: id, URL: prefix + id})
 }
 
 func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {

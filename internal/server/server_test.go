@@ -135,6 +135,7 @@ func TestSolveParameterOverridesSplitCacheEntries(t *testing.T) {
 func TestSolveBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	valid := loadTestdata(t, "chain_n10_m4.json")
+	rho, muHigh, muZero := 2.0, 99, 0
 	cases := []struct {
 		name string
 		body string
@@ -145,6 +146,9 @@ func TestSolveBadRequests(t *testing.T) {
 		{"unknown algo", mustJSON(SolveRequest{Instance: valid, Algo: "quantum"})},
 		{"cyclic instance", `{"instance": {"m": 2, "tasks": [{"Times": [1, 1]}, {"Times": [1, 1]}], "edges": [[0, 1], [1, 0]]}}`},
 		{"edge out of range", `{"instance": {"m": 2, "tasks": [{"Times": [1, 1]}], "edges": [[0, 5]]}}`},
+		{"rho above 1", mustJSON(SolveRequest{Instance: valid, Rho: &rho})},
+		{"mu above m", mustJSON(SolveRequest{Instance: valid, Mu: &muHigh})},
+		{"mu below 1", mustJSON(SolveRequest{Instance: valid, Mu: &muZero})},
 	}
 	for _, c := range cases {
 		for _, path := range []string{"/v1/solve", "/v1/jobs"} {
@@ -165,6 +169,47 @@ func TestSolveBadRequests(t *testing.T) {
 				t.Errorf("%s %s: 400 without error body: %s", path, c.name, data)
 			}
 		}
+	}
+}
+
+// overflowInstance passes every per-task check, but its total work at
+// full allotment, 2·1e308 + 2·9e307, overflows float64.
+const overflowInstance = `{"m": 2, "tasks": [{"Times": [1e308, 1e308]}, {"Times": [1e308, 9e307]}], "edges": [[0, 1]]}`
+
+// An instance whose work overflows is a 400 naming the limit on every
+// solve path and algorithm, not a 200 whose +Inf makespan the encoder
+// refuses after the header went out. Ten times smaller, it still solves
+// (the lazy simplex reports a phantom "unbounded" at that magnitude, so
+// the ladder answers it from min-cut).
+func TestSolveWorkOverflowIs400(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, path := range []string{"/v1/solve", "/v2/solve"} {
+		for _, algo := range []string{"paper", "greedy"} {
+			body := `{"algo": "` + algo + `", "instance": ` + overflowInstance + `}`
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(data, []byte("total work")) {
+				t.Errorf("%s %s: status %d, want a 400 naming the total-work limit: %s", path, algo, resp.StatusCode, data)
+			}
+		}
+	}
+
+	const small = `{"m": 2, "tasks": [{"Times": [1e307, 1e307]}, {"Times": [1e307, 9e306]}], "edges": [[0, 1]]}`
+	resp, err := http.Post(ts.URL+"/v2/solve", "application/json", strings.NewReader(`{"instance": `+small+`}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("1e307 instance: status %d: %s", resp.StatusCode, data)
+	}
+	if out := decodeSolveV2(t, data); !(out.Makespan >= 1e307 && out.Makespan <= 2e307) {
+		t.Errorf("1e307 instance: makespan %v, want within [1e307, 2e307]", out.Makespan)
 	}
 }
 

@@ -38,8 +38,6 @@ import (
 	"math"
 	"net/http"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"malsched"
@@ -221,9 +219,11 @@ func applyEdits(base *malsched.Instance, edits []TaskEdit) (*malsched.Instance, 
 // ctx is the request's context: it is threaded into the pool so a client
 // disconnect aborts the solve mid-pivot (the async job endpoints pass
 // context.Background() — a submitted job outlives its submitter by
-// contract). Solver failures run the degradation ladder (see degrade);
-// admission past the cache is bounded by s.pending with deadline-aware
-// shedding.
+// contract). Admission past the cache is bounded by s.pending with
+// deadline-aware shedding. A recoverable solver failure runs the
+// degradation ladder (see degrade) inside the same flight, while the
+// request still holds its admission slot: every waiter of that flight
+// shares the one fallback answer, and the response reports it degraded.
 func (s *Server) serve(ctx context.Context, req *SolveRequestV2, legacy bool) (*SolveResponseV2, error) {
 	start := time.Now()
 	in, warm, delta, err := s.resolveInstance(req)
@@ -249,18 +249,10 @@ func (s *Server) serve(ctx context.Context, req *SolveRequestV2, legacy bool) (*
 	if err != nil {
 		return nil, err
 	}
+	if err := checkParams(req.Rho, req.Mu, in.M); err != nil {
+		return nil, err
+	}
 	dec := route(in, pinned, deadline)
-
-	var opts []malsched.Option
-	if req.Rho != nil {
-		opts = append(opts, malsched.WithRho(*req.Rho))
-	}
-	if req.Mu != nil {
-		opts = append(opts, malsched.WithMu(*req.Mu))
-	}
-	if formulation != "" {
-		opts = append(opts, malsched.WithFormulation(formulation))
-	}
 
 	useCache := !req.NoCache && s.cache != nil
 	var fp, qkey string
@@ -275,7 +267,7 @@ func (s *Server) serve(ctx context.Context, req *SolveRequestV2, legacy bool) (*
 	// repeat at hit latency. Pinned requests skip this (pinning means
 	// "run THIS algorithm", not "at least this good").
 	var sol *solution
-	label, degradedReason := "", ""
+	label := ""
 	if !legacy && useCache && dec.routed {
 		if e, ok := s.cache.get(qkey); ok && e.tier >= tierOf(dec.algo) {
 			sol, label = e, "hit"
@@ -283,19 +275,9 @@ func (s *Server) serve(ctx context.Context, req *SolveRequestV2, legacy bool) (*
 	}
 
 	if sol == nil {
-		if dec.algo == malsched.AlgoPaper && !legacy &&
-			(formulation == "" || formulation == malsched.FormulationLazy) {
-			// Capture on every v2 paper solve: the snapshot is what makes
-			// this identity a usable delta base later. Snapshots only exist
-			// on the lazy simplex route, so other formulation pins skip the
-			// option, and capture stays best-effort underneath — a solve
-			// the internal router sends to the min-cut sweep just returns
-			// no state, and the identity is not delta-ready.
-			opts = append(opts, malsched.WithCapture())
-			if warm != nil {
-				opts = append(opts, malsched.WithWarmStart(warm))
-			}
-		}
+		// Capture on every v2 paper solve: the snapshot is what makes this
+		// identity a usable delta base later.
+		opts := solveOptions(req, formulation, dec.algo == malsched.AlgoPaper && !legacy, warm)
 		solve := func() (*solution, error) {
 			if err := in.Validate(); err != nil {
 				return nil, fmt.Errorf("%w: %v", errBadRequest, err)
@@ -330,13 +312,10 @@ func (s *Server) serve(ctx context.Context, req *SolveRequestV2, legacy bool) (*
 			}
 			res, err := s.pool.SolveAlgo(ctx, dec.algo, in, opts...)
 			if err != nil {
-				return nil, err
+				return s.degrade(ctx, in, dec, err, req, deadline, start)
 			}
 			s.recordFormulation(res, delta == "warm")
-			return &solution{
-				res: res, algo: dec.algo, tier: tierOf(dec.algo),
-				inst: in, state: res.State, coldNS: int64(time.Since(start)),
-			}, nil
+			return solved(res, dec.algo, in, start), nil
 		}
 		var out outcome
 		if !useCache {
@@ -348,21 +327,10 @@ func (s *Server) serve(ctx context.Context, req *SolveRequestV2, legacy bool) (*
 		}
 		s.stats.Add("cache_"+label, 1)
 		if err != nil {
-			// Degradation ladder: a recoverable solver failure is re-solved
-			// on a lower rung instead of surfacing as a 500. The fallback
-			// runs under its own flight key — never the exact key, so a
-			// degraded answer can't masquerade as a clean one — because a
-			// failed leader fans its error out to every singleflight waiter
-			// at once, and each running its own fallback would turn one
-			// fault into a re-solve stampede.
-			dsol, reason, ok := s.degradeShared(ctx, in, fp, dec, err, req, deadline, start, useCache)
-			if !ok {
-				if ctxErr := ctx.Err(); ctxErr != nil {
-					err = ctxErr
-				}
-				return nil, err
+			if ctxErr := ctx.Err(); ctxErr != nil {
+				err = ctxErr
 			}
-			sol, degradedReason = dsol, reason
+			return nil, err
 		}
 		if !legacy && useCache {
 			s.cache.putIfBetter(qkey, sol)
@@ -384,16 +352,18 @@ func (s *Server) serve(ctx context.Context, req *SolveRequestV2, legacy bool) (*
 		ElapsedMS:   float64(time.Since(start)) / float64(time.Millisecond),
 		ColdMS:      float64(sol.coldNS) / float64(time.Millisecond),
 	}}
-	if degradedReason != "" {
+	// The degraded label belongs to the flight that fell back: a
+	// quality-slot hit on a rung's answer is just an answer of its tier.
+	if label != "hit" && sol.degraded != "" {
 		resp.Degraded = true
-		resp.DegradedReason = degradedReason
+		resp.DegradedReason = sol.degraded
 	}
 	if !legacy {
 		resp.Fingerprint = fp
 		resp.StructureFingerprint = in.StructureFingerprint()
 		resp.Tier = sol.tier.String()
 		resp.Delta = delta
-		resp.Refine = s.maybeRefine(in, fp, qkey, dec, req)
+		resp.Refine = s.maybeRefine(in, fp, qkey, dec, req, formulation)
 		resp.Formulation = string(sol.res.Formulation)
 	}
 	if req.IncludeSchedule {
@@ -411,47 +381,60 @@ func (s *Server) serve(ctx context.Context, req *SolveRequestV2, legacy bool) (*
 	return resp, nil
 }
 
-// degradeShared runs the degradation ladder at most once per request
-// identity: concurrent requests that inherited the same leader's failure
-// share one fallback solve through the cache's singleflight (under a
-// dedicated "degraded" key, so the answer never lands where a clean solve
-// would be read from). Without this, a failed leader turns every waiter
-// into an independent fallback solver at once. Cache-less requests fall
-// back to a direct ladder run.
-func (s *Server) degradeShared(ctx context.Context, in *malsched.Instance, fp string, dec routeDecision, cause error, req *SolveRequestV2, deadline time.Duration, start time.Time, useCache bool) (*solution, string, bool) {
-	if !useCache {
-		return s.degrade(ctx, in, dec, cause, req, deadline, start)
+// checkParams rejects paper-parameter overrides outside their domains,
+// 0 <= rho <= 1 and 1 <= mu <= m, as client errors before the request
+// takes a pending slot (core rejects the same values, but only on a
+// worker, and they would surface as 500s). m < 1 leaves mu's upper bound
+// unchecked: the solutions probe names no instance.
+func checkParams(rho *float64, mu *int, m int) error {
+	if rho != nil && !(*rho >= 0 && *rho <= 1) {
+		return badRequestf("rho=%v outside [0,1]", *rho)
 	}
-	kind := malsched.ClassifyFailure(cause)
-	if !kind.Recoverable() {
-		return nil, "", false
+	if mu != nil && *mu < 1 {
+		return badRequestf("mu=%d below 1", *mu)
 	}
-	dsol, _, err := s.cache.do(ctx, "d|"+exactKey(fp, dec.algo, req), func() (*solution, error) {
-		d, _, ok := s.degrade(ctx, in, dec, cause, req, deadline, start)
-		if !ok {
-			// Report a dead context as such so live waiters retry the
-			// flight (cache.do's cancellation rule) instead of failing a
-			// healthy request with this leader's abandoned ladder.
-			if ctxErr := ctx.Err(); ctxErr != nil {
-				return nil, ctxErr
-			}
-			return nil, cause
-		}
-		return d, nil
-	})
-	if err != nil || dsol == nil {
-		return nil, "", false
+	if mu != nil && m >= 1 && *mu > m {
+		return badRequestf("mu=%d exceeds m=%d", *mu, m)
 	}
-	return dsol, kind.String(), true
+	return nil
 }
 
-// degrade is the degradation ladder: after a recoverable solver failure
-// (iteration limit, singular basis, NaN taint, spurious infeasibility,
-// worker panic — see malsched.ClassifyFailure) it re-solves the instance on
-// progressively cheaper rungs and returns the first answer that lands,
-// together with the failure-class label the response carries. It reports
-// ok=false — and the caller surfaces the original error — when the failure
-// is not recoverable (bad request, cancellation) or every rung failed too.
+// solveOptions builds the solver options of one solve of req: its rho/mu
+// overrides and the formulation pin f ("" lets allot route). With capture
+// set, an unpinned or lazy-pinned solve also captures its LP state,
+// warm-started from warm when given: snapshots only exist on the lazy
+// simplex route, so a mincut pin skips capture, and a solve allot routes
+// to the sweep just returns no state (the identity is not delta-ready).
+func solveOptions(req *SolveRequestV2, f malsched.Formulation, capture bool, warm *malsched.SolverState) []malsched.Option {
+	var opts []malsched.Option
+	if req.Rho != nil {
+		opts = append(opts, malsched.WithRho(*req.Rho))
+	}
+	if req.Mu != nil {
+		opts = append(opts, malsched.WithMu(*req.Mu))
+	}
+	if f != "" {
+		opts = append(opts, malsched.WithFormulation(f))
+	}
+	if capture && (f == "" || f == malsched.FormulationLazy) {
+		opts = append(opts, malsched.WithCapture())
+		if warm != nil {
+			opts = append(opts, malsched.WithWarmStart(warm))
+		}
+	}
+	return opts
+}
+
+// degrade is the degradation ladder, run inside the primary solve's flight
+// after its recoverable failure (iteration limit, singular basis, NaN
+// taint, spurious infeasibility, worker panic — see
+// malsched.ClassifyFailure): it re-solves the instance on progressively
+// cheaper rungs and returns the first answer that lands, labelled with
+// the failure class (solution.degraded). It returns an error when the
+// failure is not recoverable (bad request, cancellation) or every rung
+// failed too: the context's error once ctx is dead, so live waiters of
+// the flight retry it (cache.do's cancellation rule) instead of failing a
+// healthy request with this leader's abandoned ladder; cause otherwise.
 //
 //	rung 1: the other exact phase-1 engine, same paper tier. Outside the
 //	        min-cut window the router predicts lazy for an unpinned
@@ -460,18 +443,18 @@ func (s *Server) degradeShared(ctx context.Context, in *malsched.Instance, fp st
 //	        Taken only there, and only when the router's estimate fits
 //	        what is left of the budget (measurements: DESIGN.md §9).
 //	rung 2: greedy critical path — always cheap, tier "greedy".
-func (s *Server) degrade(ctx context.Context, in *malsched.Instance, dec routeDecision, cause error, req *SolveRequestV2, deadline time.Duration, start time.Time) (*solution, string, bool) {
+func (s *Server) degrade(ctx context.Context, in *malsched.Instance, dec routeDecision, cause error, req *SolveRequestV2, deadline time.Duration, start time.Time) (*solution, error) {
 	kind := malsched.ClassifyFailure(cause)
 	if !kind.Recoverable() {
-		return nil, "", false
+		return nil, cause
 	}
-	reason := kind.String()
 	s.stats.Add("degrade_attempts", 1)
 	s.recordFormulationDegrade(req.Formulation)
 	budget := autoPaperBudget
 	if deadline > 0 {
 		budget = deadline
 	}
+	var sol *solution
 	n := len(in.Tasks)
 	if dec.algo == malsched.AlgoPaper && !inMincutWindow(n, in.M) &&
 		paperEstimate(n, in.M) <= budget-time.Since(start) {
@@ -479,58 +462,41 @@ func (s *Server) degrade(ctx context.Context, in *malsched.Instance, dec routeDe
 		if errors.Is(cause, flow.ErrStalled) || req.Formulation == string(malsched.FormulationMincut) {
 			other = malsched.FormulationLazy
 		}
-		opts := []malsched.Option{malsched.WithFormulation(other)}
-		if req.Rho != nil {
-			opts = append(opts, malsched.WithRho(*req.Rho))
-		}
-		if req.Mu != nil {
-			opts = append(opts, malsched.WithMu(*req.Mu))
-		}
-		if res, err := s.pool.SolveAlgo(ctx, malsched.AlgoPaper, in, opts...); err == nil {
+		if res, err := s.pool.SolveAlgo(ctx, malsched.AlgoPaper, in, solveOptions(req, other, false, nil)...); err == nil {
 			s.stats.Add("degrade_engine", 1)
-			return &solution{
-				res: res, algo: malsched.AlgoPaper, tier: tierPaper,
-				inst: in, coldNS: int64(time.Since(start)),
-			}, reason, true
+			sol = solved(res, malsched.AlgoPaper, in, start)
 		}
 	}
-	if res, err := s.pool.SolveAlgo(ctx, malsched.AlgoGreedyCP, in); err == nil {
-		s.stats.Add("degrade_greedy", 1)
-		return &solution{
-			res: res, algo: malsched.AlgoGreedyCP, tier: tierGreedy,
-			inst: in, coldNS: int64(time.Since(start)),
-		}, reason, true
+	if sol == nil {
+		if res, err := s.pool.SolveAlgo(ctx, malsched.AlgoGreedyCP, in); err == nil {
+			s.stats.Add("degrade_greedy", 1)
+			sol = solved(res, malsched.AlgoGreedyCP, in, start)
+		}
 	}
-	s.stats.Add("degrade_exhausted", 1)
-	return nil, "", false
+	if sol == nil {
+		s.stats.Add("degrade_exhausted", 1)
+		if ctxErr := ctx.Err(); ctxErr != nil {
+			return nil, ctxErr
+		}
+		return nil, cause
+	}
+	sol.degraded = kind.String()
+	return sol, nil
 }
 
 // maybeRefine queues a background paper solve behind a deadline-downgraded
 // answer (the refine-behind half of the v2 contract) and returns the
-// response's refine label. The refinement lands in the identity's quality
-// slot tier-monotonically and is observable in /metrics: refine_queued,
-// refined (completed), refine_dropped (lane full), refine_failed.
-func (s *Server) maybeRefine(in *malsched.Instance, fp, qkey string, dec routeDecision, req *SolveRequestV2) string {
+// response's refine label. The refinement honours the request's
+// formulation pin f (its answer lands under formulation-keyed slots) and
+// lands in the identity's quality slot tier-monotonically. It is
+// observable in /metrics: refine_queued, refined (completed),
+// refine_dropped (lane full), refine_failed.
+func (s *Server) maybeRefine(in *malsched.Instance, fp, qkey string, dec routeDecision, req *SolveRequestV2, f malsched.Formulation) string {
 	if !dec.downgraded || req.NoCache || s.cache == nil {
 		return ""
 	}
 	if e, ok := s.cache.get(qkey); ok && e.tier >= tierPaper {
 		return "" // already refined (or paper-solved outright)
-	}
-	var opts []malsched.Option
-	if req.Rho != nil {
-		opts = append(opts, malsched.WithRho(*req.Rho))
-	}
-	if req.Mu != nil {
-		opts = append(opts, malsched.WithMu(*req.Mu))
-	}
-	// The refinement honours the request's formulation pin (its answer
-	// lands under formulation-keyed slots); capture stays lazy-only.
-	if f, err := malsched.ParseFormulation(req.Formulation); err == nil && f != "" {
-		opts = append(opts, malsched.WithFormulation(f))
-	}
-	if req.Formulation == "" || req.Formulation == string(malsched.FormulationLazy) {
-		opts = append(opts, malsched.WithCapture())
 	}
 	enqueued := time.Now()
 	ok := s.pool.TrySolveBackground(malsched.AlgoPaper, in, func(res *malsched.Result, err error) {
@@ -539,14 +505,11 @@ func (s *Server) maybeRefine(in *malsched.Instance, fp, qkey string, dec routeDe
 			return
 		}
 		s.recordFormulation(res, false)
-		sol := &solution{
-			res: res, algo: malsched.AlgoPaper, tier: tierPaper,
-			inst: in, state: res.State, coldNS: int64(time.Since(enqueued)),
-		}
+		sol := solved(res, malsched.AlgoPaper, in, enqueued)
 		s.cache.putIfBetter(qkey, sol)
 		s.cache.putIfBetter(exactKey(fp, malsched.AlgoPaper, req), sol)
 		s.stats.Add("refined", 1)
-	}, opts...)
+	}, solveOptions(req, f, true, nil)...)
 	if !ok {
 		s.stats.Add("refine_dropped", 1)
 		return "dropped"
@@ -594,6 +557,9 @@ type BatchRequestV2 struct {
 	Mu              *int                 `json:"mu,omitempty"`
 	NoCache         bool                 `json:"no_cache,omitempty"`
 	IncludeSchedule bool                 `json:"include_schedule,omitempty"`
+	// Formulation pins every item's phase-1 formulation, as on /v2/solve;
+	// an unknown value is each item's error.
+	Formulation string `json:"formulation,omitempty"`
 }
 
 // BatchItemV2 is one instance's outcome: exactly one of Result and Error.
@@ -614,35 +580,18 @@ func (s *Server) handleBatchV2(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp := BatchResponseV2{Results: make([]BatchItemV2, len(req.Instances))}
-	workers := s.pool.Workers()
-	if workers > len(req.Instances) {
-		workers = len(req.Instances)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w0 := 0; w0 < workers; w0++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(req.Instances) {
-					return
-				}
-				one := SolveRequestV2{
-					Instance: req.Instances[i], Algo: req.Algo, DeadlineMS: req.DeadlineMS,
-					Rho: req.Rho, Mu: req.Mu, NoCache: req.NoCache, IncludeSchedule: req.IncludeSchedule,
-				}
-				res, err := s.serve(r.Context(), &one, false)
-				if err != nil {
-					resp.Results[i].Error = err.Error()
-				} else {
-					resp.Results[i].Result = res
-				}
-			}
-		}()
-	}
-	wg.Wait()
+	s.fanOut(len(req.Instances), func(i int) {
+		one := SolveRequestV2{
+			Instance: req.Instances[i], Algo: req.Algo, DeadlineMS: req.DeadlineMS, Rho: req.Rho, Mu: req.Mu,
+			NoCache: req.NoCache, IncludeSchedule: req.IncludeSchedule, Formulation: req.Formulation,
+		}
+		res, err := s.serve(r.Context(), &one, false)
+		if err != nil {
+			resp.Results[i].Error = err.Error()
+		} else {
+			resp.Results[i].Result = res
+		}
+	})
 	s.writeJSON(w, http.StatusOK, resp)
 }
 
@@ -656,29 +605,7 @@ func (s *Server) handleJobSubmitV2(w http.ResponseWriter, r *http.Request) {
 		s.httpError(w, http.StatusBadRequest, errors.New("missing instance (or base fingerprint)"))
 		return
 	}
-	id, err := s.jobs.create(time.Now())
-	if errors.Is(err, errJobsBusy) {
-		w.Header().Set("Retry-After", retryAfterSeconds)
-		s.httpError(w, http.StatusServiceUnavailable, err)
-		return
-	}
-	if err != nil {
-		s.httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	go func() {
-		s.jobs.setRunning(id)
-		// Background context by contract: an accepted job must complete
-		// (and stay queryable) even after its submitter disconnects.
-		//malsched:detach accepted async job outlives its submitter (202 contract)
-		res, err := s.serve(context.Background(), &req, false)
-		if err != nil {
-			s.jobs.finish(id, nil, err, time.Now())
-		} else {
-			s.jobs.finish(id, res, nil, time.Now())
-		}
-	}()
-	s.writeJSON(w, http.StatusAccepted, JobAccepted{ID: id, URL: "/v2/jobs/" + id})
+	s.submitJob(w, "/v2/jobs/", func(ctx context.Context) (any, error) { return s.serve(ctx, &req, false) })
 }
 
 // SolutionProbe answers GET /v2/solutions/{fp}: what the quality slot of
@@ -711,14 +638,18 @@ func (s *Server) handleSolutionProbe(w http.ResponseWriter, r *http.Request) {
 	}
 	if v := r.URL.Query().Get("rho"); v != "" {
 		rho, err := strconv.ParseFloat(v, 64)
-		if err != nil || math.IsNaN(rho) || math.IsInf(rho, 0) {
-			// ParseFloat happily returns NaN/±Inf for "NaN"/"Inf" — values
-			// paramSuffix would encode into a key no solve ever wrote, and
-			// that a solve request would have rejected as invalid rho.
-			s.httpError(w, http.StatusBadRequest, fmt.Errorf("invalid rho %q: must be a finite number", v))
+		if err != nil {
+			s.httpError(w, http.StatusBadRequest, fmt.Errorf("invalid rho %q", v))
 			return
 		}
 		req.Rho = &rho
+	}
+	// The solve path's own range check: a value it rejects (NaN and ±Inf,
+	// which ParseFloat accepts, among them) addresses no slot any solve
+	// ever wrote, so it is a 400 here too, not a silent 404.
+	if err := checkParams(req.Rho, req.Mu, 0); err != nil {
+		s.httpError(w, http.StatusBadRequest, err)
+		return
 	}
 	if v := r.URL.Query().Get("formulation"); v != "" {
 		if _, err := malsched.ParseFormulation(v); err != nil {

@@ -73,6 +73,54 @@ func TestValidateRejectsBadInstances(t *testing.T) {
 	}
 }
 
+// Every task of this instance passes the model checks, but the total work
+// at full allotment, 2·1e308 + 2·9e307, overflows float64: Validate and
+// every solver reject it instead of reporting a +Inf makespan. Ten times
+// smaller it passes validation and solves. (At that magnitude the lazy
+// simplex reports a phantom "unbounded", so it is solved here on the
+// min-cut sweep, the engine the server's ladder falls back to.)
+func TestValidateRejectsWorkOverflow(t *testing.T) {
+	huge := &Instance{
+		M:     2,
+		Tasks: []Task{NewTask("a", []float64{1e308, 1e308}), NewTask("b", []float64{1e308, 9e307})},
+		Edges: [][2]int{{0, 1}},
+	}
+	if err := huge.Validate(); err == nil || !strings.Contains(err.Error(), "total work") {
+		t.Errorf("Validate = %v, want the total-work limit", err)
+	}
+	for name, f := range map[string]func(*Instance) (*Result, error){
+		"paper": func(in *Instance) (*Result, error) { return Solve(in) }, "greedy": SolveGreedyCP,
+	} {
+		if res, err := f(huge); err == nil {
+			t.Errorf("%s solved an overflowing instance: makespan %v", name, res.Makespan)
+		}
+	}
+
+	small := &Instance{
+		M:     2,
+		Tasks: []Task{NewTask("a", []float64{1e307, 1e307}), NewTask("b", []float64{1e307, 9e306})},
+		Edges: [][2]int{{0, 1}},
+	}
+	if err := small.Validate(); err != nil {
+		t.Fatalf("1e307 instance rejected: %v", err)
+	}
+	for name, f := range map[string]func(*Instance) (*Result, error){
+		"paper":  func(in *Instance) (*Result, error) { return Solve(in, WithFormulation(FormulationMincut)) },
+		"greedy": SolveGreedyCP,
+	} {
+		res, err := f(small)
+		if err != nil {
+			t.Fatalf("%s: 1e307 instance: %v", name, err)
+		}
+		if math.IsInf(res.Makespan, 0) || res.Makespan < 1e307 {
+			t.Errorf("%s: 1e307 instance: makespan %v", name, res.Makespan)
+		}
+		if err := Verify(small, res); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+	}
+}
+
 func TestBaselinesAndComparison(t *testing.T) {
 	in := exampleInstance()
 	ours, err := Solve(in)
