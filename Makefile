@@ -170,7 +170,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzQuantize$$' -fuzztime=10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzServeV2$$' -fuzztime=10s ./internal/server
 
-ci: lint lint-selftest staticcheck govulncheck build linkcheck race bench-module
+ci: lint lint-selftest staticcheck govulncheck build linkcheck race bench-module fuzz-smoke chaos
 	$(GO) test -run '^$$' -bench '$(BENCH_SMOKE)' -benchtime=1x -benchmem .
 
 # Regenerate the canned instances under testdata/ (families x machine sizes

@@ -5,6 +5,7 @@ import (
 
 	"malsched/internal/allot"
 	"malsched/internal/baseline"
+	"malsched/internal/core"
 	"malsched/internal/solver"
 )
 
@@ -67,39 +68,24 @@ func ParseAlgorithm(s string) (Algorithm, error) {
 // solveAlgoWith dispatches one solve to the selected algorithm, threading
 // the reusable workspace through whichever path is taken. It is the shared
 // implementation behind the top-level Solve* functions and Pool.SolveAlgo.
+// Every algorithm ends in core's pipeline tail, so every schedule is
+// verified against the instance's DAG and has a finite makespan.
 func solveAlgoWith(in *Instance, ws *solver.Workspace, algo Algorithm, opts []Option) (*Result, error) {
+	var f func(*allot.Instance, *solver.Workspace) (*core.Result, error)
 	switch algo {
 	case AlgoPaper:
 		return solveWith(in, ws, opts)
 	case AlgoLTW:
-		ai, err := in.internal()
-		if err != nil {
-			return nil, err
-		}
-		res, err := baseline.LTWWith(ai, ws)
-		if err != nil {
-			return nil, err
-		}
-		mu, r := baseline.LTWRatio(in.M)
-		out := &Result{
-			Schedule: res.Schedule, Makespan: res.Makespan, LowerBound: res.LowerBound,
-			Alloc: res.Alpha, Mu: mu, Rho: 0.5, ProvenRatio: r,
-		}
-		if res.LowerBound > 0 {
-			out.Guarantee = res.Makespan / res.LowerBound
-		}
-		return out, nil
+		f = baseline.LTWWith
 	case AlgoSequential:
-		return baselineResultWith(in, ws, baseline.SequentialWith)
+		f = baseline.SequentialWith
 	case AlgoGreedyCP:
-		return baselineResultWith(in, ws, baseline.GreedyCPWith)
+		f = baseline.GreedyCPWith
 	case AlgoFullAllotment:
-		return baselineResultWith(in, ws, baseline.FullAllotmentWith)
+		f = baseline.FullAllotmentWith
+	default:
+		return nil, fmt.Errorf("malsched: unknown algorithm %v", algo)
 	}
-	return nil, fmt.Errorf("malsched: unknown algorithm %v", algo)
-}
-
-func baselineResultWith(in *Instance, ws *solver.Workspace, f func(*allot.Instance, *solver.Workspace) (*baseline.Result, error)) (*Result, error) {
 	ai, err := in.internal()
 	if err != nil {
 		return nil, err
@@ -108,5 +94,9 @@ func baselineResultWith(in *Instance, ws *solver.Workspace, f func(*allot.Instan
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Schedule: res.Schedule, Makespan: res.Makespan, Alloc: res.Alpha}, nil
+	out := result(res)
+	if algo == AlgoLTW {
+		_, out.ProvenRatio = baseline.LTWRatio(in.M)
+	}
+	return out, nil
 }

@@ -202,14 +202,13 @@ func BenchmarkPhase1LP(b *testing.B) {
 		b.Run(sc.name, func(b *testing.B) {
 			in := sc.build()
 			ws := solver.NewWorkspace()
-			ws.LP().ForceFormulation = sc.force
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				// Exactly the production phase-1 path (core.SolveWith):
 				// preprocess, then solve the LP on the reduced instance.
 				red := ws.Reduce(in)
-				if _, err := allot.SolveLPWith(red, ws.LP()); err != nil {
+				if _, err := allot.SolveLPFormulation(red, ws.LP(), sc.force); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -241,9 +240,8 @@ func BenchmarkPhase1Shapes(b *testing.B) {
 				for _, f := range []allot.Formulation{allot.FormulationLazy, allot.FormulationMincut} {
 					b.Run(fmt.Sprintf("%s_n%d_m%d/%s", fam, n, m, f), func(b *testing.B) {
 						ws := solver.NewWorkspace()
-						ws.LP().ForceFormulation = f
 						for i := 0; i < b.N; i++ {
-							if _, err := allot.SolveLPWith(ws.Reduce(in), ws.LP()); err != nil {
+							if _, err := allot.SolveLPFormulation(ws.Reduce(in), ws.LP(), f); err != nil {
 								b.Fatal(err)
 							}
 						}

@@ -76,7 +76,6 @@ func phase1Study(seed int64, nmax int, formulation malsched.Formulation) {
 	fmt.Println("phase-1 LP scaling")
 	fmt.Println("n\tm\tedges\tformulation\ttime\tcuts\trounds\tC*")
 	ws := allot.NewWorkspace()
-	ws.ForceFormulation = formulation
 	for _, cfg := range []struct{ n, m int }{
 		{100, 16}, {200, 16}, {500, 32}, {1000, 64}, {2000, 64}, {5000, 64}, {10000, 64},
 	} {
@@ -88,7 +87,7 @@ func phase1Study(seed int64, nmax int, formulation malsched.Formulation) {
 		g := gen.Layered(cfg.n/w, w, 3, rng)
 		in := gen.Instance(g, gen.FamilyMixed, cfg.m, rng)
 		start := time.Now()
-		frac, err := allot.SolveLPWith(in, ws)
+		frac, err := allot.SolveLPFormulation(in, ws, formulation)
 		el := time.Since(start)
 		if err != nil {
 			fmt.Printf("%d\t%d\t%d\tERROR: %v\n", cfg.n, cfg.m, g.M(), err)

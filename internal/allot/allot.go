@@ -131,11 +131,18 @@ func SolveLP(in *Instance) (*Fractional, error) {
 
 // lineCoefs returns the slope and intercept of segment s of frontier f:
 // the supporting line of Eq. (8) with w >= slope*x + intercept on it.
+// The products whi·lo and wlo·hi overflow once times pass about 1e154;
+// there the intercept is read off the line at hi instead, which cannot
+// overflow (every other instance keeps the first form's rounding).
 func lineCoefs(f *malleable.Frontier, s int) (slope, intercept float64) {
 	hi, lo := f.X[s], f.X[s+1] // p(l) > p(l+1)
 	whi, wlo := f.W[s], f.W[s+1]
 	den := lo - hi // negative
-	return (wlo - whi) / den, (whi*lo - wlo*hi) / den
+	slope, intercept = (wlo-whi)/den, (whi*lo-wlo*hi)/den
+	if math.IsNaN(intercept) || math.IsInf(intercept, 0) {
+		intercept = whi - slope*hi
+	}
+	return slope, intercept
 }
 
 // addCut appends the supporting-line row of segment s of task j:
@@ -150,8 +157,18 @@ func addCut(p *lp.Problem, f *malleable.Frontier, j, s, n int) {
 // fresh buffers). The simplex workspace, LP problem, task frontiers and
 // cut bookkeeping all live in ws and are reused across calls, so repeated
 // solves on same-shaped instances allocate almost nothing beyond the
-// returned Fractional.
+// returned Fractional. The router picks the formulation by instance
+// shape; SolveLPFormulation pins one.
 func SolveLPWith(in *Instance, ws *Workspace) (*Fractional, error) {
+	return SolveLPFormulation(in, ws, "")
+}
+
+// SolveLPFormulation is SolveLPWith on the formulation f: lazy or mincut
+// pins that engine, "" lets the router pick by instance shape, and any
+// other name is an error. The pin is an argument, not workspace state, so
+// a pooled workspace carries no choice of engine from one solve to the
+// next.
+func SolveLPFormulation(in *Instance, ws *Workspace, f Formulation) (*Fractional, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
@@ -162,12 +179,11 @@ func SolveLPWith(in *Instance, ws *Workspace) (*Fractional, error) {
 	fronts := ws.frontiers(in)
 	ws.lastLazyN = 0 // only a completed lazy solve leaves capture state
 
-	// Route between the formulations. A pinned formulation (requests,
-	// tests, LP-snapshot capture) short-circuits; otherwise instances of
-	// frontier segment mass MincutFormulationMin and up go to the
-	// parametric sweep (mincut.go) and smaller ones stay on the lazy-cut
-	// loop below.
-	switch ws.ForceFormulation {
+	// Route between the formulations. A pinned formulation short-circuits;
+	// otherwise instances of frontier segment mass MincutFormulationMin
+	// and up go to the parametric sweep (mincut.go) and smaller ones stay
+	// on the lazy-cut loop below.
+	switch f {
 	case FormulationMincut:
 		return solveLPMincut(in, ws, fronts)
 	case FormulationLazy:
@@ -181,7 +197,7 @@ func SolveLPWith(in *Instance, ws *Workspace) (*Fractional, error) {
 			return solveLPMincut(in, ws, fronts)
 		}
 	default:
-		return nil, fmt.Errorf("allot: unknown formulation %q", ws.ForceFormulation)
+		return nil, fmt.Errorf("allot: unknown formulation %q", f)
 	}
 
 	p := ws.buildBaseLP(in, fronts)

@@ -8,7 +8,7 @@
 //
 // Snapshots only exist for the lazy-cut formulation: the min-cut sweep
 // keeps no basis, so callers wanting a snapshot pin the lazy route
-// (ForceFormulation = FormulationLazy).
+// (SolveLPFormulation with FormulationLazy).
 package allot
 
 import (

@@ -35,15 +35,11 @@ func editInstance(in *allot.Instance, k int, rng *rand.Rand) *allot.Instance {
 // same LP optimum with frontier-feasible solutions.
 func checkDeltaAgainstCold(t *testing.T, edited *allot.Instance, snap *allot.LPSnapshot) {
 	t.Helper()
-	dws := allot.NewWorkspace()
-	dws.ForceFormulation = allot.FormulationLazy
-	delta, err := allot.SolveLPDeltaWith(edited, dws, snap)
+	delta, err := allot.SolveLPDeltaWith(edited, allot.NewWorkspace(), snap)
 	if err != nil {
 		t.Fatalf("delta: %v", err)
 	}
-	cws := allot.NewWorkspace()
-	cws.ForceFormulation = allot.FormulationLazy
-	cold, err := allot.SolveLPWith(edited, cws)
+	cold, err := allot.SolveLPFormulation(edited, allot.NewWorkspace(), allot.FormulationLazy)
 	if err != nil {
 		t.Fatalf("cold: %v", err)
 	}
@@ -86,8 +82,8 @@ func TestSolveLPDeltaMatchesCold(t *testing.T) {
 		}
 		t.Run(fmt.Sprintf("%s_n%d_m%d_k%d", family, g.N(), m, k), func(t *testing.T) {
 			ws := allot.NewWorkspace()
-			ws.ForceFormulation = allot.FormulationLazy // snapshots exist on the lazy route only
-			if _, err := allot.SolveLPWith(base, ws); err != nil {
+			// Snapshots exist on the lazy route only.
+			if _, err := allot.SolveLPFormulation(base, ws, allot.FormulationLazy); err != nil {
 				t.Fatalf("base: %v", err)
 			}
 			snap := ws.CaptureLP(base)
@@ -107,8 +103,7 @@ func TestSolveLPDeltaChained(t *testing.T) {
 	g := buildDAG("layered", 24, 0.2, rng)
 	cur := gen.Instance(g, gen.FamilyMixed, 8, rng)
 	ws := allot.NewWorkspace()
-	ws.ForceFormulation = allot.FormulationLazy
-	if _, err := allot.SolveLPWith(cur, ws); err != nil {
+	if _, err := allot.SolveLPFormulation(cur, ws, allot.FormulationLazy); err != nil {
 		t.Fatal(err)
 	}
 	snap := ws.CaptureLP(cur)
@@ -116,7 +111,6 @@ func TestSolveLPDeltaChained(t *testing.T) {
 		edited := editInstance(cur, 3, rng)
 		checkDeltaAgainstCold(t, edited, snap)
 		dws := allot.NewWorkspace()
-		dws.ForceFormulation = allot.FormulationLazy
 		if _, err := allot.SolveLPDeltaWith(edited, dws, snap); err != nil {
 			t.Fatal(err)
 		}
@@ -151,16 +145,14 @@ func TestSolveLPDeltaMismatchFallsBack(t *testing.T) {
 	check("nil snapshot", nil)
 
 	ws := allot.NewWorkspace()
-	ws.ForceFormulation = allot.FormulationLazy
 	other := gen.Instance(buildDAG("chain", 5, 0, rng), gen.FamilyMixed, 4, rng)
-	if _, err := allot.SolveLPWith(other, ws); err != nil {
+	if _, err := allot.SolveLPFormulation(other, ws, allot.FormulationLazy); err != nil {
 		t.Fatal(err)
 	}
 	check("wrong task count", ws.CaptureLP(other))
 
 	ws2 := allot.NewWorkspace()
-	ws2.ForceFormulation = allot.FormulationLazy
-	if _, err := allot.SolveLPWith(in, ws2); err != nil {
+	if _, err := allot.SolveLPFormulation(in, ws2, allot.FormulationLazy); err != nil {
 		t.Fatal(err)
 	}
 	good := ws2.CaptureLP(in)
@@ -182,8 +174,7 @@ func TestSolveLPDeltaCollapsedFrontier(t *testing.T) {
 	g := buildDAG("forkjoin", 10, 0, rng)
 	base := gen.Instance(g, gen.FamilyMixed, 6, rng)
 	ws := allot.NewWorkspace()
-	ws.ForceFormulation = allot.FormulationLazy
-	if _, err := allot.SolveLPWith(base, ws); err != nil {
+	if _, err := allot.SolveLPFormulation(base, ws, allot.FormulationLazy); err != nil {
 		t.Fatal(err)
 	}
 	snap := ws.CaptureLP(base)
@@ -213,8 +204,7 @@ func TestCaptureLPNilOffLazyRoute(t *testing.T) {
 	if ws.CaptureLP(in) == nil {
 		t.Fatal("lazy solve exported no snapshot")
 	}
-	ws.ForceFormulation = allot.FormulationMincut
-	if _, err := allot.SolveLPWith(in, ws); err != nil {
+	if _, err := allot.SolveLPFormulation(in, ws, allot.FormulationMincut); err != nil {
 		t.Fatal(err)
 	}
 	if snap := ws.CaptureLP(in); snap != nil {

@@ -23,7 +23,6 @@ import (
 func TestSegmentFormulationMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(505))
 	ws := allot.NewWorkspace()
-	ws.ForceFormulation = allot.FormulationMincut
 	for trial := 0; trial < 36; trial++ {
 		family := lazyFamilies[trial%len(lazyFamilies)]
 		n := 4 + rng.Intn(24)
@@ -31,7 +30,7 @@ func TestSegmentFormulationMatchesReference(t *testing.T) {
 		g := buildDAG(family, n, 0.1+0.3*rng.Float64(), rng)
 		in := gen.Instance(g, gen.FamilyMixed, m, rng)
 		t.Run(fmt.Sprintf("%s_n%d_m%d", family, g.N(), m), func(t *testing.T) {
-			checkAgainstReference(t, in, ws)
+			checkAgainstReference(t, in, ws, allot.FormulationMincut)
 		})
 	}
 }
@@ -42,7 +41,6 @@ func TestSegmentFormulationMatchesReference(t *testing.T) {
 func TestSegmentFormulationLargerM(t *testing.T) {
 	rng := rand.New(rand.NewSource(606))
 	ws := allot.NewWorkspace()
-	ws.ForceFormulation = allot.FormulationMincut
 	for _, cfg := range []struct {
 		family string
 		n, m   int
@@ -58,7 +56,7 @@ func TestSegmentFormulationLargerM(t *testing.T) {
 		g := buildDAG(cfg.family, cfg.n, 0.15, rng)
 		in := gen.Instance(g, gen.FamilyMixed, cfg.m, rng)
 		t.Run(fmt.Sprintf("%s_n%d_m%d", cfg.family, g.N(), cfg.m), func(t *testing.T) {
-			checkAgainstReference(t, in, ws)
+			checkAgainstReference(t, in, ws, allot.FormulationMincut)
 		})
 	}
 }
@@ -72,9 +70,7 @@ func TestSegmentAgainstLazy(t *testing.T) {
 	in := gen.Instance(gen.Layered(10, 8, 3, rng), gen.FamilyMixed, 24, rng)
 
 	solve := func(f allot.Formulation) *allot.Fractional {
-		ws := allot.NewWorkspace()
-		ws.ForceFormulation = f
-		frac, err := allot.SolveLPWith(in, ws)
+		frac, err := allot.SolveLPFormulation(in, allot.NewWorkspace(), f)
 		if err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}

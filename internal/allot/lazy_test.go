@@ -43,9 +43,9 @@ var lazyFamilies = []string{"chain", "independent", "forkjoin", "layered", "outt
 // holds at (x*_j, w_j(x*_j)) by construction, the certified relation
 // max{L*, W*/m} <= C* holds, and the processing times sit inside their
 // frontier domains.
-func checkAgainstReference(t *testing.T, in *allot.Instance, ws *allot.Workspace) {
+func checkAgainstReference(t *testing.T, in *allot.Instance, ws *allot.Workspace, f allot.Formulation) {
 	t.Helper()
-	sparse, err := allot.SolveLPWith(in, ws)
+	sparse, err := allot.SolveLPFormulation(in, ws, f)
 	if err != nil {
 		t.Fatalf("sparse: %v", err)
 	}
@@ -88,7 +88,7 @@ func TestSolveLPMatchesReference(t *testing.T) {
 		g := buildDAG(family, n, 0.1+0.3*rng.Float64(), rng)
 		in := gen.Instance(g, gen.FamilyMixed, m, rng)
 		t.Run(fmt.Sprintf("%s_n%d_m%d", family, g.N(), m), func(t *testing.T) {
-			checkAgainstReference(t, in, ws)
+			checkAgainstReference(t, in, ws, "")
 		})
 	}
 }
@@ -111,7 +111,7 @@ func TestSolveLPMatchesReferenceLargerM(t *testing.T) {
 		g := buildDAG(cfg.family, cfg.n, 0.15, rng)
 		in := gen.Instance(g, gen.FamilyMixed, cfg.m, rng)
 		t.Run(fmt.Sprintf("%s_n%d_m%d", cfg.family, g.N(), cfg.m), func(t *testing.T) {
-			checkAgainstReference(t, in, ws)
+			checkAgainstReference(t, in, ws, "")
 		})
 	}
 }

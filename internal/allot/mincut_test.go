@@ -11,6 +11,7 @@ import (
 	"malsched/internal/bruteforce"
 	"malsched/internal/flow"
 	"malsched/internal/gen"
+	"malsched/internal/malleable"
 )
 
 // checkMincutAgainstSparse solves the instance with the parametric
@@ -24,18 +25,14 @@ import (
 // max{L*, W*/m} <= C*.
 func checkMincutAgainstSparse(t *testing.T, in *allot.Instance, ws *allot.Workspace) {
 	t.Helper()
-	ws.ForceFormulation = allot.FormulationMincut
-	mc, err := allot.SolveLPWith(in, ws)
-	ws.ForceFormulation = ""
+	mc, err := allot.SolveLPFormulation(in, ws, allot.FormulationMincut)
 	if err != nil {
 		t.Fatalf("mincut: %v", err)
 	}
 	if mc.Formulation != allot.FormulationMincut {
 		t.Fatalf("formulation = %q, want mincut", mc.Formulation)
 	}
-	ws.ForceFormulation = allot.FormulationLazy
-	sparse, err := allot.SolveLPWith(in, ws)
-	ws.ForceFormulation = ""
+	sparse, err := allot.SolveLPFormulation(in, ws, allot.FormulationLazy)
 	if err != nil {
 		t.Fatalf("sparse: %v", err)
 	}
@@ -113,8 +110,6 @@ func TestSolveLPMincutLargerM(t *testing.T) {
 func TestSolveLPMincutBelowBruteforceOptimal(t *testing.T) {
 	rng := rand.New(rand.NewSource(707))
 	ws := allot.NewWorkspace()
-	ws.ForceFormulation = allot.FormulationMincut
-	defer func() { ws.ForceFormulation = "" }()
 	for trial := 0; trial < 12; trial++ {
 		family := lazyFamilies[trial%len(lazyFamilies)]
 		n := 3 + rng.Intn(3)
@@ -122,7 +117,7 @@ func TestSolveLPMincutBelowBruteforceOptimal(t *testing.T) {
 		g := buildDAG(family, n, 0.3, rng)
 		in := gen.Instance(g, gen.FamilyMixed, m, rng)
 		opt := bruteforce.Optimal(in)
-		mc, err := allot.SolveLPWith(in, ws)
+		mc, err := allot.SolveLPFormulation(in, ws, allot.FormulationMincut)
 		if err != nil {
 			t.Fatalf("trial %d: mincut: %v", trial, err)
 		}
@@ -169,30 +164,56 @@ func TestMincutAutoRouting(t *testing.T) {
 	}
 
 	for _, f := range []allot.Formulation{"segment", "dense"} {
-		ws.ForceFormulation = f
-		if _, err := allot.SolveLPWith(gen.Instance(gen.Chain(3), gen.FamilyMixed, 4, rng), ws); err == nil {
+		if _, err := allot.SolveLPFormulation(gen.Instance(gen.Chain(3), gen.FamilyMixed, 4, rng), ws, f); err == nil {
 			t.Errorf("retired formulation %q did not error", f)
 		}
 	}
-	ws.ForceFormulation = ""
 }
 
 // TestMincutFaultInjection arms the flow core's fault hook and checks
-// the failure surfaces as flow.ErrStalled through SolveLPWith — the
+// the failure surfaces as flow.ErrStalled through SolveLPFormulation — the
 // sentinel the serving layer's degradation ladder classifies as
 // recoverable.
 func TestMincutFaultInjection(t *testing.T) {
 	rng := rand.New(rand.NewSource(909))
 	in := gen.Instance(gen.Layered(8, 4, 3, rng), gen.FamilyMixed, 8, rng)
-	ws := allot.NewWorkspace()
-	ws.ForceFormulation = allot.FormulationMincut
 	flow.FaultSweep = func() bool { return true }
 	defer func() { flow.FaultSweep = nil }()
-	_, err := allot.SolveLPWith(in, ws)
+	_, err := allot.SolveLPFormulation(in, allot.NewWorkspace(), allot.FormulationMincut)
 	if err == nil {
 		t.Fatal("armed fault hook did not fail the solve")
 	}
 	if !errors.Is(err, flow.ErrStalled) {
 		t.Fatalf("fault error %v is not errors.Is-able to flow.ErrStalled", err)
+	}
+}
+
+// TestHugeTimesBothEngines: the chain [s, s] → [s, 0.9s] on m=2 has
+// OPT = 1.9·s. From s ≈ 1e154 the products in a supporting line's
+// intercept overflowed (the lazy route reported a phantom "unbounded"),
+// and at s = 1e307 the sweep's stopping crossing did (C* = 2e307, above
+// OPT). At every magnitude both engines must agree on C* and stay at or
+// below OPT.
+func TestHugeTimesBothEngines(t *testing.T) {
+	for _, s := range []float64{1e154, 1e160, 1e200, 1e300, 1e307} {
+		in := &allot.Instance{G: gen.Chain(2), M: 2, Tasks: []malleable.Task{
+			malleable.NewTask("a", []float64{s, s}), malleable.NewTask("b", []float64{s, 0.9 * s}),
+		}}
+		opt := bruteforce.Optimal(in)
+		var cs []float64
+		for _, f := range []allot.Formulation{allot.FormulationLazy, allot.FormulationMincut} {
+			frac, err := allot.SolveLPFormulation(in, allot.NewWorkspace(), f)
+			if err != nil {
+				t.Errorf("s=%g %s: %v", s, f, err)
+				continue
+			}
+			if frac.C > opt*(1+1e-9) {
+				t.Errorf("s=%g %s: C*=%g exceeds OPT=%g", s, f, frac.C, opt)
+			}
+			cs = append(cs, frac.C)
+		}
+		if len(cs) == 2 && math.Abs(cs[0]-cs[1]) > 1e-9*cs[1] {
+			t.Errorf("s=%g: lazy C*=%g, mincut C*=%g", s, cs[0], cs[1])
+		}
 	}
 }

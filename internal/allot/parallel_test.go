@@ -19,9 +19,7 @@ func TestParallelSeparationDeterministic(t *testing.T) {
 	in := gen.Instance(gen.Layered(16, 12, 3, rng), gen.FamilyMixed, 16, rng)
 
 	solve := func() *allot.Fractional {
-		ws := allot.NewWorkspace()
-		ws.ForceFormulation = allot.FormulationLazy
-		frac, err := allot.SolveLPWith(in, ws)
+		frac, err := allot.SolveLPFormulation(in, allot.NewWorkspace(), allot.FormulationLazy)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,9 +47,7 @@ func TestReferenceNoPhantomUnbounded(t *testing.T) {
 		t.Fatalf("reference: %v", err)
 	}
 	for _, f := range []allot.Formulation{allot.FormulationLazy, allot.FormulationMincut} {
-		ws := allot.NewWorkspace()
-		ws.ForceFormulation = f
-		frac, err := allot.SolveLPWith(in, ws)
+		frac, err := allot.SolveLPFormulation(in, allot.NewWorkspace(), f)
 		if err != nil {
 			t.Fatalf("%s: %v", f, err)
 		}

@@ -57,12 +57,6 @@ type Workspace struct {
 	lastLazyN int
 	totalSegs int
 
-	// ForceFormulation, when non-empty, pins SolveLPWith to one solve
-	// path regardless of segment mass — the request-level formulation
-	// pin of the serving API, and how CaptureLP keeps the solve on the
-	// lazy route (snapshots only exist there).
-	ForceFormulation Formulation
-
 	// Flow is the parametric min-cut scratch of the mincut formulation;
 	// mcArc maps task j to its crashable arc in the built network.
 	Flow  flow.Workspace

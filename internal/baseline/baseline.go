@@ -17,8 +17,7 @@ import (
 	"math"
 
 	"malsched/internal/allot"
-	"malsched/internal/listsched"
-	"malsched/internal/schedule"
+	"malsched/internal/core"
 	"malsched/internal/solver"
 )
 
@@ -42,78 +41,45 @@ func LTWRatio(m int) (mu int, r float64) {
 	return mu, r
 }
 
-// Result mirrors core.Result for baseline algorithms.
-type Result struct {
-	Schedule   *schedule.Schedule
-	Alpha      []int
-	Makespan   float64
-	LowerBound float64 // max{L*, W*/m} from the shared LP relaxation (0 if not solved)
-}
-
 // LTW runs the Lepère–Trystram–Woeginger two-phase algorithm: phase 1 via
 // the shared LP with rho = 1/2 rounding, allotments capped at mu_LTW(m),
-// then LIST.
-func LTW(in *allot.Instance) (*Result, error) { return LTWWith(in, nil) }
+// then LIST. It is core's pipeline with those two parameters, so the
+// result's Params.R is the Theorem 4.1 objective at them, not LTW's
+// proven ratio (LTWRatio).
+func LTW(in *allot.Instance) (*core.Result, error) { return LTWWith(in, nil) }
 
 // LTWWith is LTW with a reusable cross-phase workspace (nil behaves like
 // LTW): both the LP solve and the list scheduling run warm.
-func LTWWith(in *allot.Instance, ws *solver.Workspace) (*Result, error) {
-	// The LP path pins the instance in the workspace's frontier cache;
-	// release it on exit so a pooled workspace does not retain the
-	// instance between solves (same contract as core.SolveWith).
-	defer ws.Release()
-	in = ws.Reduce(in) // preprocessing, exactly as core.SolveWith
-	frac, err := allot.SolveLPWith(in, ws.LP())
-	if err != nil {
-		return nil, err
-	}
-	alphaPrime := allot.RoundWith(in, frac, 0.5, ws.LP())
+func LTWWith(in *allot.Instance, ws *solver.Workspace) (*core.Result, error) {
 	mu, _ := LTWRatio(in.M)
-	alpha := listsched.CapAllotment(alphaPrime, mu)
-	s, err := listsched.RunWith(in, alpha, ws.Sched())
-	if err != nil {
-		return nil, err
-	}
-	lb := math.Max(frac.L, frac.W/float64(in.M))
-	lb = math.Max(lb, frac.C)
-	return &Result{Schedule: s, Alpha: alpha, Makespan: s.Makespan(), LowerBound: lb}, nil
+	return core.SolveWith(in, core.Options{Rho: 0.5, RhoSet: true, Mu: mu}, ws)
 }
 
 // Sequential schedules every task on a single processor with LIST: the
 // no-malleability baseline.
-func Sequential(in *allot.Instance) (*Result, error) { return SequentialWith(in, nil) }
+func Sequential(in *allot.Instance) (*core.Result, error) { return SequentialWith(in, nil) }
 
 // SequentialWith is Sequential with a reusable workspace.
-func SequentialWith(in *allot.Instance, ws *solver.Workspace) (*Result, error) {
-	alpha := make([]int, in.G.N())
-	for j := range alpha {
-		alpha[j] = 1
-	}
-	return runAllotment(in, alpha, ws)
+func SequentialWith(in *allot.Instance, ws *solver.Workspace) (*core.Result, error) {
+	return core.ScheduleWith(in, uniform(in.G.N(), 1), ws)
 }
 
 // FullAllotment gives every task all m processors, serialising the whole
 // DAG: the maximum-parallelism-per-task baseline.
-func FullAllotment(in *allot.Instance) (*Result, error) { return FullAllotmentWith(in, nil) }
+func FullAllotment(in *allot.Instance) (*core.Result, error) { return FullAllotmentWith(in, nil) }
 
 // FullAllotmentWith is FullAllotment with a reusable workspace.
-func FullAllotmentWith(in *allot.Instance, ws *solver.Workspace) (*Result, error) {
-	alpha := make([]int, in.G.N())
-	for j := range alpha {
-		alpha[j] = in.M
-	}
-	return runAllotment(in, alpha, ws)
+func FullAllotmentWith(in *allot.Instance, ws *solver.Workspace) (*core.Result, error) {
+	return core.ScheduleWith(in, uniform(in.G.N(), in.M), ws)
 }
 
-// runAllotment finishes a fixed-allotment baseline with LIST (on the
-// preprocessed instance; the schedule is identical, see internal/prep).
-func runAllotment(in *allot.Instance, alpha []int, ws *solver.Workspace) (*Result, error) {
-	in = ws.Reduce(in)
-	s, err := listsched.RunWith(in, alpha, ws.Sched())
-	if err != nil {
-		return nil, err
+// uniform returns an allotment of l processors for each of n tasks.
+func uniform(n, l int) []int {
+	alpha := make([]int, n)
+	for j := range alpha {
+		alpha[j] = l
 	}
-	return &Result{Schedule: s, Alpha: alpha, Makespan: s.Makespan()}, nil
+	return alpha
 }
 
 // GreedyCP iteratively shortens the critical path: starting from
@@ -121,45 +87,53 @@ func runAllotment(in *allot.Instance, alpha []int, ws *solver.Workspace) (*Resul
 // the task on the current critical path with the best marginal gain, while
 // the average load W/m stays below the critical-path length. A natural
 // practitioner's heuristic with no worst-case guarantee.
-func GreedyCP(in *allot.Instance) (*Result, error) { return GreedyCPWith(in, nil) }
+func GreedyCP(in *allot.Instance) (*core.Result, error) { return GreedyCPWith(in, nil) }
 
 // GreedyCPWith is GreedyCP with a reusable workspace.
-func GreedyCPWith(in *allot.Instance, ws *solver.Workspace) (*Result, error) {
-	n := in.G.N()
-	alpha := make([]int, n)
-	for j := range alpha {
-		alpha[j] = 1
+func GreedyCPWith(in *allot.Instance, ws *solver.Workspace) (*core.Result, error) {
+	alpha, err := greedyAllotment(in)
+	if err != nil {
+		return nil, err
 	}
+	return core.ScheduleWith(in, alpha, ws)
+}
+
+// greedyAllotment computes GreedyCP's allotment. Each grant re-runs the
+// longest-path pass over one topological order computed up front, with
+// only the granted task's duration changed, so a grant costs O(n+E)
+// without allocating; there are up to n·m grants (about 4n on layered
+// shapes).
+func greedyAllotment(in *allot.Instance) ([]int, error) {
+	n := in.G.N()
+	order, err := in.G.TopoOrder()
+	if err != nil {
+		return nil, err
+	}
+	alpha := uniform(n, 1)
+	d := make([]float64, n) // current durations
+	dist := make([]float64, n)
+	from := make([]int, n)
 	work := 0.0
 	for j := range alpha {
+		d[j] = in.Tasks[j].Time(1)
 		work += in.Tasks[j].Work(1)
 	}
-	durations := func() []float64 {
-		d := make([]float64, n)
-		for j := range d {
-			d[j] = in.Tasks[j].Time(alpha[j])
-		}
-		return d
-	}
 	for iter := 0; iter < n*in.M; iter++ {
-		d := durations()
-		length, path, err := in.G.CriticalPath(d)
-		if err != nil {
-			return nil, err
-		}
-		if work/float64(in.M) >= length {
+		end := in.G.LongestPaths(order, d, dist, from) // n >= 1 here
+		if work/float64(in.M) >= dist[end] {
 			break // load-balanced: more processors only add overhead
 		}
-		// Best marginal time reduction per unit of extra work on the path.
+		// Best marginal time reduction per unit of extra work on the
+		// critical path, walked from its end: >= keeps the first maximum
+		// from its start, as dag.CriticalPath lists the path.
 		bestJ, bestGain := -1, 0.0
-		for _, j := range path {
+		for j := end; j >= 0; j = from[j] {
 			if alpha[j] >= in.M {
 				continue
 			}
 			dt := in.Tasks[j].Time(alpha[j]) - in.Tasks[j].Time(alpha[j]+1)
 			dw := in.Tasks[j].Work(alpha[j]+1) - in.Tasks[j].Work(alpha[j])
-			gain := dt / (1 + dw)
-			if gain > bestGain {
+			if gain := dt / (1 + dw); gain > 0 && gain >= bestGain {
 				bestJ, bestGain = j, gain
 			}
 		}
@@ -168,8 +142,9 @@ func GreedyCPWith(in *allot.Instance, ws *solver.Workspace) (*Result, error) {
 		}
 		work += in.Tasks[bestJ].Work(alpha[bestJ]+1) - in.Tasks[bestJ].Work(alpha[bestJ])
 		alpha[bestJ]++
+		d[bestJ] = in.Tasks[bestJ].Time(alpha[bestJ])
 	}
-	return runAllotment(in, alpha, ws)
+	return alpha, nil
 }
 
 // Table3Row is one row of Table 3 of the paper.

@@ -3,8 +3,12 @@ package baseline
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
+	"malsched/internal/allot"
+	"malsched/internal/core"
+	"malsched/internal/dag"
 	"malsched/internal/gen"
 	"malsched/internal/params"
 )
@@ -80,13 +84,13 @@ func TestBaselinesProduceFeasibleSchedules(t *testing.T) {
 		in := gen.Instance(gen.ErdosDAG(n, 0.3, rng), gen.FamilyMixed, m, rng)
 		type alg struct {
 			name string
-			run  func() (*Result, error)
+			run  func() (*core.Result, error)
 		}
 		algs := []alg{
-			{"ltw", func() (*Result, error) { return LTW(in) }},
-			{"sequential", func() (*Result, error) { return Sequential(in) }},
-			{"full", func() (*Result, error) { return FullAllotment(in) }},
-			{"greedycp", func() (*Result, error) { return GreedyCP(in) }},
+			{"ltw", func() (*core.Result, error) { return LTW(in) }},
+			{"sequential", func() (*core.Result, error) { return Sequential(in) }},
+			{"full", func() (*core.Result, error) { return FullAllotment(in) }},
+			{"greedycp", func() (*core.Result, error) { return GreedyCP(in) }},
 		}
 		for _, a := range algs {
 			res, err := a.run()
@@ -154,6 +158,95 @@ func TestGreedyCPUsesExtraProcessorsOnChains(t *testing.T) {
 	if res.Makespan >= seq.Makespan {
 		t.Errorf("greedy (%v) not better than sequential (%v) on a chain of power-law tasks",
 			res.Makespan, seq.Makespan)
+	}
+}
+
+// greedyAllotmentReference is GreedyCP's loop as first written: a fresh
+// dag.CriticalPath, with its own topological order and buffers, per
+// grant. It is the oracle of greedyAllotment, which computes the order
+// once and updates only the granted task's duration.
+func greedyAllotmentReference(in *allot.Instance) ([]int, error) {
+	n := in.G.N()
+	alpha := make([]int, n)
+	for j := range alpha {
+		alpha[j] = 1
+	}
+	work := 0.0
+	for j := range alpha {
+		work += in.Tasks[j].Work(1)
+	}
+	for iter := 0; iter < n*in.M; iter++ {
+		d := make([]float64, n)
+		for j := range d {
+			d[j] = in.Tasks[j].Time(alpha[j])
+		}
+		length, path, err := in.G.CriticalPath(d)
+		if err != nil {
+			return nil, err
+		}
+		if work/float64(in.M) >= length {
+			break
+		}
+		bestJ, bestGain := -1, 0.0
+		for _, j := range path {
+			if alpha[j] >= in.M {
+				continue
+			}
+			dt := in.Tasks[j].Time(alpha[j]) - in.Tasks[j].Time(alpha[j]+1)
+			dw := in.Tasks[j].Work(alpha[j]+1) - in.Tasks[j].Work(alpha[j])
+			gain := dt / (1 + dw)
+			if gain > bestGain {
+				bestJ, bestGain = j, gain
+			}
+		}
+		if bestJ < 0 {
+			break
+		}
+		work += in.Tasks[bestJ].Work(alpha[bestJ]+1) - in.Tasks[bestJ].Work(alpha[bestJ])
+		alpha[bestJ]++
+	}
+	return alpha, nil
+}
+
+// TestGreedyAllotmentMatchesReference: computing the topological order
+// once changes no grant, on random DAGs of five generator families, with
+// ties among identical tasks included.
+func TestGreedyAllotmentMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	for trial := 0; trial < 30; trial++ {
+		n := 2 + rng.Intn(60)
+		m := []int{1, 2, 4, 8, 16, 32}[rng.Intn(6)]
+		var g *dag.DAG
+		switch trial % 5 {
+		case 0:
+			g = gen.Chain(n)
+		case 1:
+			g = gen.Independent(n)
+		case 2:
+			g = gen.Layered(1+n/4, 4, 3, rng)
+		case 3:
+			g = gen.OutTree(n, rng)
+		default:
+			g = gen.ErdosDAG(n, 0.2, rng)
+		}
+		in := gen.Instance(g, gen.FamilyMixed, m, rng)
+		if trial%3 == 0 {
+			// Identical tasks tie on gain, so the grant order decides.
+			for j := range in.Tasks {
+				in.Tasks[j] = in.Tasks[0]
+			}
+		}
+		want, err := greedyAllotmentReference(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := greedyAllotment(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("trial %d (n=%d m=%d): allotment %v, reference %v", trial, g.N(), m, got, want)
+		}
 	}
 }
 

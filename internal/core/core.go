@@ -9,6 +9,10 @@
 //  2. phase 1: solve LP (9), round with rho        (internal/allot)
 //  3. phase 2: cap allotments at mu, run LIST      (internal/listsched)
 //  4. verify feasibility and report the lower bound max{L*, W*/m} <= OPT.
+//
+// It is the one pipeline of every algorithm: LTW is SolveWith at its own
+// rho and mu, and the fixed-allotment baselines finish through
+// ScheduleWith, the LIST-and-verify tail of steps 3 and 4.
 package core
 
 import (
@@ -39,21 +43,20 @@ type Options struct {
 	Mu int
 	// CaptureLP asks for a warm-start snapshot of the phase-1 LP in
 	// Result.LPSnapshot. Snapshots only exist on the lazy-cut route (the
-	// other formulations have no transplantable basis), so capture is
-	// best-effort: when the router sends the solve elsewhere — e.g. a
-	// large instance onto the min-cut sweep — the result simply carries
-	// no snapshot. Pin Formulation to lazy to make capture unconditional.
+	// min-cut sweep has no transplantable basis), so capture is
+	// best-effort under every pin: when the solve runs on the sweep,
+	// routed there or pinned, the result simply carries no snapshot. Pin
+	// Formulation to lazy to make capture unconditional.
 	CaptureLP bool
 	// Formulation pins the phase-1 LP formulation (lazy or mincut);
-	// empty lets the router pick by instance shape, and allot.SolveLPWith
-	// rejects any other name. A mincut pin is incompatible with
-	// CaptureLP/WarmLP, whose snapshots only exist on the lazy simplex
-	// route.
+	// empty lets the router pick by instance shape, and
+	// allot.SolveLPFormulation rejects any other name.
 	Formulation allot.Formulation
 	// WarmLP warm-starts phase 1 from a snapshot captured on an instance
 	// with the same structure (task count, DAG shape, machine count) —
 	// the serving layer's delta path. Mismatched snapshots degrade to a
-	// cold solve; the result is an exact LP optimum either way.
+	// cold solve; the result is an exact LP optimum either way. A mincut
+	// pin ignores it, since the sweep has no basis to start from.
 	WarmLP *allot.LPSnapshot
 }
 
@@ -119,34 +122,20 @@ func SolveWith(in *allot.Instance, opt Options, ws *solver.Workspace) (*Result, 
 	// original graph.
 	red := ws.Reduce(in)
 
-	// The frontier cache in ws is shared by SolveLPWith and RoundWith;
-	// release it on exit so a pooled workspace does not pin the instance.
+	// The frontier cache in ws is shared by SolveLPFormulation and
+	// RoundWith; release it on exit so a pooled workspace does not pin
+	// the instance.
 	defer ws.Release()
 	lpws := ws.LP()
-	if lpws == nil && (opt.CaptureLP || opt.WarmLP != nil || opt.Formulation != "") {
-		lpws = allot.NewWorkspace() // capture and pinning need a handle on the solve's state
-	}
-	pin := opt.Formulation
-	if pin != "" && pin != allot.FormulationLazy {
-		if opt.CaptureLP {
-			return nil, fmt.Errorf("core: CaptureLP requires the lazy formulation, not %q", pin)
-		}
-		if opt.WarmLP != nil {
-			return nil, fmt.Errorf("core: WarmLP requires the lazy formulation, not %q", pin)
-		}
+	if lpws == nil && opt.CaptureLP {
+		lpws = allot.NewWorkspace() // capture needs a handle on the solve's state
 	}
 	var frac *allot.Fractional
 	var err error
-	switch {
-	case opt.WarmLP != nil:
+	if opt.WarmLP != nil && opt.Formulation != allot.FormulationMincut {
 		frac, err = allot.SolveLPDeltaWith(red, lpws, opt.WarmLP)
-	case pin != "":
-		prev := lpws.ForceFormulation
-		lpws.ForceFormulation = pin
-		frac, err = allot.SolveLPWith(red, lpws)
-		lpws.ForceFormulation = prev
-	default:
-		frac, err = allot.SolveLPWith(red, lpws)
+	} else {
+		frac, err = allot.SolveLPFormulation(red, lpws, opt.Formulation)
 	}
 	if err != nil {
 		return nil, err
@@ -154,17 +143,13 @@ func SolveWith(in *allot.Instance, opt Options, ws *solver.Workspace) (*Result, 
 	var snap *allot.LPSnapshot
 	if opt.CaptureLP && frac.Formulation == allot.FormulationLazy {
 		// Only the lazy route leaves a transplantable basis + cut log in
-		// the workspace; after any other route the capture state is stale.
+		// the workspace; after the sweep the capture state is stale.
 		snap = lpws.CaptureLP(red)
 	}
 	alphaPrime := allot.RoundWith(red, frac, choice.Rho, lpws)
-	alpha := listsched.CapAllotment(alphaPrime, choice.Mu)
-	sched, err := listsched.RunWith(red, alpha, ws.Sched())
+	res, err := finish(in, red, listsched.CapAllotment(alphaPrime, choice.Mu), ws)
 	if err != nil {
 		return nil, err
-	}
-	if err := sched.Verify(in.G); err != nil {
-		return nil, fmt.Errorf("core: produced infeasible schedule: %w", err)
 	}
 
 	lb := frac.L
@@ -176,24 +161,42 @@ func SolveWith(in *allot.Instance, opt Options, ws *solver.Workspace) (*Result, 
 	if frac.C > lb {
 		lb = frac.C
 	}
-	makespan := sched.Makespan()
-	if !isFinite(makespan) || !isFinite(lb) {
-		return nil, fmt.Errorf("%w: makespan=%v lb=%v", ErrNumericTaint, makespan, lb)
+	if !isFinite(lb) {
+		return nil, fmt.Errorf("%w: lb=%v", ErrNumericTaint, lb)
 	}
-	res := &Result{
-		Schedule:   sched,
-		Fractional: frac,
-		AlphaPrime: alphaPrime,
-		Alpha:      alpha,
-		Params:     choice,
-		Makespan:   makespan,
-		LowerBound: lb,
-		LPSnapshot: snap,
-	}
+	res.Fractional, res.AlphaPrime, res.Params = frac, alphaPrime, choice
+	res.LowerBound, res.LPSnapshot = lb, snap
 	if lb > 0 {
 		res.Guarantee = res.Makespan / lb
 	}
 	return res, nil
+}
+
+// ScheduleWith finishes a fixed allotment alpha with the pipeline's tail,
+// the same one SolveWith ends in: LIST on the transitively reduced
+// instance, Verify against the original DAG, then the finite-makespan
+// check. It is how the baselines (sequential, full allotment, greedy
+// critical path) turn their allotments into checked schedules; the
+// result carries no phase-1 quantities (LowerBound 0, zero Params).
+func ScheduleWith(in *allot.Instance, alpha []int, ws *solver.Workspace) (*Result, error) {
+	return finish(in, ws.Reduce(in), alpha, ws)
+}
+
+// finish runs LIST on red (in with its graph reduced) and checks the
+// schedule against in's own graph.
+func finish(in, red *allot.Instance, alpha []int, ws *solver.Workspace) (*Result, error) {
+	sched, err := listsched.RunWith(red, alpha, ws.Sched())
+	if err != nil {
+		return nil, err
+	}
+	if err := sched.Verify(in.G); err != nil {
+		return nil, fmt.Errorf("core: produced infeasible schedule: %w", err)
+	}
+	makespan := sched.Makespan()
+	if !isFinite(makespan) {
+		return nil, fmt.Errorf("%w: makespan=%v", ErrNumericTaint, makespan)
+	}
+	return &Result{Schedule: sched, Alpha: alpha, Makespan: makespan}, nil
 }
 
 func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }

@@ -10,6 +10,7 @@ import (
 	"malsched/internal/gen"
 	"malsched/internal/malleable"
 	"malsched/internal/params"
+	"malsched/internal/solver"
 )
 
 func smallInstance(seed int64, n, m int, density float64) *allot.Instance {
@@ -165,5 +166,40 @@ func TestSolveRejectsInvalidInstance(t *testing.T) {
 	in := &allot.Instance{G: dag.New(1), Tasks: []malleable.Task{malleable.NewTask("bad", []float64{1, 2})}, M: 2}
 	if _, err := Solve(in, Options{}); err == nil {
 		t.Error("assumption-violating instance accepted")
+	}
+}
+
+// TestMincutPinCaptureIsBestEffort: under a mincut pin, as on the routed
+// sweep, CaptureLP yields no snapshot and a WarmLP snapshot is ignored;
+// neither is an error, and the answer is the cold mincut solve's.
+func TestMincutPinCaptureIsBestEffort(t *testing.T) {
+	in := smallInstance(21, 12, 8, 0.3)
+	lazy, err := Solve(in, Options{CaptureLP: true, Formulation: allot.FormulationLazy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lazy.LPSnapshot == nil {
+		t.Fatal("lazy-pinned capture returned no snapshot")
+	}
+	cold, err := Solve(in, Options{Formulation: allot.FormulationMincut})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, opt := range map[string]Options{
+		"capture":      {Formulation: allot.FormulationMincut, CaptureLP: true},
+		"warm":         {Formulation: allot.FormulationMincut, WarmLP: lazy.LPSnapshot},
+		"capture+warm": {Formulation: allot.FormulationMincut, CaptureLP: true, WarmLP: lazy.LPSnapshot},
+	} {
+		res, err := SolveWith(in, opt, solver.NewWorkspace())
+		if err != nil {
+			t.Errorf("%s: %v", name, err)
+			continue
+		}
+		if res.LPSnapshot != nil {
+			t.Errorf("%s: mincut solve returned a snapshot", name)
+		}
+		if res.Fractional.Formulation != allot.FormulationMincut || res.Makespan != cold.Makespan {
+			t.Errorf("%s: %s makespan %v, want mincut %v", name, res.Fractional.Formulation, res.Makespan, cold.Makespan)
+		}
 	}
 }

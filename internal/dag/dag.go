@@ -161,26 +161,9 @@ func (g *DAG) CriticalPath(w []float64) (float64, []int, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	dist := make([]float64, g.n) // dist[v] = max path weight ending at v
+	dist := make([]float64, g.n)
 	from := make([]int, g.n)
-	for v := range from {
-		from[v] = -1
-	}
-	for _, v := range order {
-		dist[v] += w[v]
-		for _, s := range g.succ[v] {
-			if dist[v] > dist[s] {
-				dist[s] = dist[v]
-				from[s] = v
-			}
-		}
-	}
-	best := -1
-	for v := 0; v < g.n; v++ {
-		if best < 0 || dist[v] > dist[best] {
-			best = v
-		}
-	}
+	best := g.LongestPaths(order, w, dist, from)
 	if best < 0 {
 		return 0, nil, nil
 	}
@@ -193,6 +176,33 @@ func (g *DAG) CriticalPath(w []float64) (float64, []int, error) {
 		path[len(rev)-1-i] = v
 	}
 	return dist[best], path, nil
+}
+
+// LongestPaths is CriticalPath's pass over a given topological order of g,
+// into caller-owned buffers of length n: dist[v] becomes the maximum path
+// weight ending at v and from[v] v's predecessor on that path (-1 where
+// the path starts). It returns the last vertex of a heaviest path (-1 for
+// an empty graph) and allocates nothing, so a caller that re-weights the
+// same DAG many times pays O(n+E) per pass, not a new topological order.
+func (g *DAG) LongestPaths(order []int, w, dist []float64, from []int) int {
+	for v := range dist {
+		dist[v], from[v] = 0, -1
+	}
+	for _, v := range order {
+		dist[v] += w[v]
+		for _, s := range g.succ[v] {
+			if dist[v] > dist[s] {
+				dist[s], from[s] = dist[v], v
+			}
+		}
+	}
+	best := -1
+	for v := 0; v < g.n; v++ {
+		if best < 0 || dist[v] > dist[best] {
+			best = v
+		}
+	}
+	return best
 }
 
 // Reachable reports whether there is a directed path from i to j (i != j).

@@ -1293,6 +1293,19 @@ func (ws *Workspace) Sweep(src, snk int, m, phi0 float64) (float64, error) {
 	ws.arcStamp = grown(ws.arcStamp, nA)
 	ws.sU = grown(ws.sU, nA)
 	ws.sD = grown(ws.sD, nA)
+	// The piece tolerance is this network's: refreshSig below classifies
+	// pieces with it, so it is set before the first call (a tolerance
+	// left over from the previous sweep on this workspace would make the
+	// answer depend on that sweep).
+	maxCum := 0.0
+	for a := 0; a < nA; a++ {
+		if e := ws.curveOff[a+1]; e > ws.curveOff[a] {
+			if c := ws.cum[e-1]; c > maxCum {
+				maxCum = c
+			}
+		}
+	}
+	ws.bEps = 1e-12 * (1 + maxCum)
 	for a := 0; a < nA; a++ {
 		ws.y[a] = 0
 		ws.f[a] = 0
@@ -1337,15 +1350,6 @@ func (ws *Workspace) Sweep(src, snk int, m, phi0 float64) (float64, error) {
 	ws.Breakpoints, ws.Augments = 0, 0
 
 	ws.tightEps = 1e-9 * (1 + math.Abs(ws.lam))
-	maxCum := 0.0
-	for a := 0; a < nA; a++ {
-		if e := ws.curveOff[a+1]; e > ws.curveOff[a] {
-			if c := ws.cum[e-1]; c > maxCum {
-				maxCum = c
-			}
-		}
-	}
-	ws.bEps = 1e-12 * (1 + maxCum)
 	// A breakpoint costs about one augmenting path, and a deep network
 	// meets a breakpoint at nearly every crashing piece (a 400-task chain
 	// at m=64 augments ~14k times on 801 arcs), so both budgets scale
@@ -1379,6 +1383,11 @@ func (ws *Workspace) Sweep(src, snk int, m, phi0 float64) (float64, error) {
 			return 0, fmt.Errorf("%w: injected fault", ErrStalled)
 		}
 		lamCross := (ws.phi + ws.muv*ws.lam) / (m + ws.muv)
+		if math.IsInf(lamCross, 0) || math.IsNaN(lamCross) {
+			// phi + muv·lam overflows at huge times; split the weighted
+			// mean (every finite crossing keeps the first form's rounding).
+			lamCross = ws.phi/(m+ws.muv) + ws.lam*(ws.muv/(m+ws.muv))
+		}
 		e, ok := ws.popValid()
 		if !ok || lamCross >= e.lam {
 			ws.advance(lamCross)

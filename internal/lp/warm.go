@@ -62,15 +62,6 @@ func (ws *Workspace) perturbCostsNonbasic() {
 	ws.perturbed = true
 }
 
-// RowSlackBasic reports whether constraint row r's logical variable is
-// basic in the snapshot — for an inequality row, that means the row was
-// slack (not binding) at the captured optimum. Callers slimming a basis
-// for transplant can drop such a row together with its status entry: one
-// basic variable and one row leave together, so the basis stays square.
-func (b *Basis) RowSlackBasic(r int) bool {
-	return b.Status[b.NVars+r] == stBasic
-}
-
 // SolveHotWith solves p starting from a transplanted basis instead of the
 // crash basis, for problems with the same layout as the basis's origin
 // (same variable count, same row count and senses) but possibly different

@@ -111,10 +111,14 @@ func serveOnceV2(b *testing.B, h http.Handler, body string) {
 // the scale the API contract targets (n = 500 tasks): "warm" edits 4
 // tasks of a cached base (within the k = 8 budget, so the captured LP
 // basis transplants), "cold" edits k+1 tasks (over budget, full re-solve
-// through the same endpoint). Every request carries no_cache so each
-// iteration really solves; the delta_warm/op and delta_cold/op metrics
-// certify which path ran (benchgate shows them next to the timings). The
-// warm/cold ns/op gap is the delta path's value; the contract wants >= 5x.
+// through the same endpoint). The base and every delta pin the lazy
+// formulation: this n=500/m=32 shape auto-routes to the min-cut sweep,
+// which keeps no basis, so unpinned it would never be delta-ready. Every
+// request carries no_cache so each iteration really solves; the
+// delta_warm/op and delta_cold/op metrics certify which path ran
+// (benchgate shows them next to the timings), and a scenario whose
+// counters contradict its name fails. The warm/cold ns/op gap is the
+// delta path's value; the contract wants >= 5x.
 func BenchmarkServeDelta(b *testing.B) {
 	rng := rand.New(rand.NewSource(412))
 	g := gen.Layered(25, 20, 2, rng) // n = 500 tasks
@@ -138,19 +142,19 @@ func BenchmarkServeDelta(b *testing.B) {
 			}
 			edits[e] = TaskEdit{Task: task, Times: times}
 		}
-		raw, err := json.Marshal(SolveRequestV2{Base: baseFP, Edits: edits, Algo: "paper", NoCache: true})
+		raw, err := json.Marshal(SolveRequestV2{Base: baseFP, Edits: edits, Algo: "paper", NoCache: true, Formulation: "lazy"})
 		if err != nil {
 			b.Fatal(err)
 		}
 		return string(raw)
 	}
 
-	run := func(b *testing.B, count int) {
+	run := func(b *testing.B, count int, path string) {
 		s := New(Config{Workers: 1})
 		defer s.Close()
 		h := s.Handler()
 
-		raw, err := json.Marshal(SolveRequestV2{Instance: in, Algo: "paper"})
+		raw, err := json.Marshal(SolveRequestV2{Instance: in, Algo: "paper", Formulation: "lazy"})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -172,8 +176,11 @@ func BenchmarkServeDelta(b *testing.B) {
 		b.StopTimer()
 		b.ReportMetric(counter(s, "delta_warm")/float64(b.N), "delta_warm/op")
 		b.ReportMetric(counter(s, "delta_cold")/float64(b.N), "delta_cold/op")
+		if got := counter(s, "delta_"+path); got != float64(b.N) {
+			b.Fatalf("%d of %d requests took the %s delta path", int(got), b.N, path)
+		}
 	}
 
-	b.Run(fmt.Sprintf("warm_edits4_n%d", len(in.Tasks)), func(b *testing.B) { run(b, 4) })
-	b.Run(fmt.Sprintf("cold_edits%d_n%d", maxDeltaEdits+1, len(in.Tasks)), func(b *testing.B) { run(b, maxDeltaEdits+1) })
+	b.Run(fmt.Sprintf("warm_edits4_n%d_lazy", len(in.Tasks)), func(b *testing.B) { run(b, 4, "warm") })
+	b.Run(fmt.Sprintf("cold_edits%d_n%d_lazy", maxDeltaEdits+1, len(in.Tasks)), func(b *testing.B) { run(b, maxDeltaEdits+1, "cold") })
 }

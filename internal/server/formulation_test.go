@@ -144,6 +144,45 @@ func TestV2FormulationAutoMincut(t *testing.T) {
 	}
 }
 
+// TestV2LTWReportsFormulation: LTW solves LP (9) through the paper's
+// pipeline, so its answer names the formulation that solved it and the
+// solve counts in that formulation's /metrics section. LTW consumes no
+// warm state, so an LTW delta request against a paper base is no warm
+// hit.
+func TestV2LTWReportsFormulation(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	in := loadTestdata(t, "chain_n10_m4.json")
+	resp, data := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Instance: in, Algo: "paper"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("paper base: status %d: %s", resp.StatusCode, data)
+	}
+	base := decodeSolveV2(t, data)
+	edit := TaskEdit{Task: 0, Times: in.Tasks[1].Times}
+	resp, data = postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Base: base.Fingerprint, Edits: []TaskEdit{edit}, Algo: "ltw"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	}
+	out := decodeSolveV2(t, data)
+	if out.Algo != "ltw" || out.Formulation != "lazy" || out.Delta != "warm" {
+		t.Fatalf("ltw answer: algo %q formulation %q delta %q, want ltw on lazy, a warm-ready delta", out.Algo, out.Formulation, out.Delta)
+	}
+	mresp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mdata, _ := io.ReadAll(mresp.Body)
+	mresp.Body.Close()
+	var doc struct {
+		Formulations map[string]formulationStats `json:"formulations"`
+	}
+	if err := json.Unmarshal(mdata, &doc); err != nil {
+		t.Fatalf("metrics document: %v: %s", err, mdata)
+	}
+	if st := doc.Formulations["lazy"]; st.Solves != 2 || st.WarmHits != 0 {
+		t.Errorf("formulations[lazy] = %+v, want the paper and ltw solves and no warm hit", st)
+	}
+}
+
 // TestMetricsVersionedShape pins the /metrics redesign: schema_version,
 // a per-formulation section with the effort counters, and the old flat
 // keys still present as deprecated aliases.

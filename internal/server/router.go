@@ -11,13 +11,15 @@ import (
 // Adaptive solver routing: requests that do not pin an algorithm are routed
 // by instance size and the request's latency deadline. The paper algorithm
 // gives the best schedules (and the only certified ratio) but its phase-1
-// LP grows roughly quadratically in the task count; greedy critical-path is
-// near-linear and is the fallback when a deadline or the size budget leaves
-// no room for an LP.
+// LP grows roughly quadratically in the task count; greedy critical path
+// is the fallback when a deadline or the size budget leaves no room for
+// an LP. Greedy is quadratic too, O(grants·(n+E)) with about 4n grants on
+// layered shapes, but cheaper: about 0.25 s at n=2000/m=64, 2 s at n=5000
+// and 13 s at n=10⁴ (DESIGN.md §8).
 //
 // LTW is deliberately NOT an auto-routing target: it solves the same
-// phase-1 LP as the paper algorithm (internal/baseline.LTWWith differs only
-// in rounding and allotment cap), so it costs the same and certifies a
+// phase-1 LP as the paper algorithm (internal/baseline.LTWWith is core's
+// pipeline at rho = 1/2 and mu_LTW(m)), so it costs the same and certifies a
 // worse ratio — measured on a layered n=96/m=16 instance: paper 18.2 ms,
 // LTW 20.6 ms, greedy 4.1 ms (E12). It stays reachable by pinning
 // "algo": "ltw" (the comparison baseline of the paper's Table 3).

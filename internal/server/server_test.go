@@ -213,6 +213,31 @@ func TestSolveWorkOverflowIs400(t *testing.T) {
 	}
 }
 
+// TestV2HugeTimesUndegraded: the 1e307 chain has OPT = 1.9e307. It used
+// to fail on the lazy route (a phantom "unbounded" from overflowing
+// supporting-line intercepts) and come back degraded from the sweep,
+// whose overflowing crossing put lower_bound at 2e307, above OPT.
+func TestV2HugeTimesUndegraded(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	const huge = `{"m": 2, "tasks": [{"Times": [1e307, 1e307]}, {"Times": [1e307, 9e306]}], "edges": [[0, 1]]}`
+	resp, err := http.Post(ts.URL+"/v2/solve", "application/json", strings.NewReader(`{"instance": `+huge+`}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	}
+	out := decodeSolveV2(t, data)
+	if out.Degraded || out.Tier != "paper" {
+		t.Errorf("answer degraded=%v (%q), tier %q; want an undegraded paper answer", out.Degraded, out.DegradedReason, out.Tier)
+	}
+	if out.LowerBound > 1.9e307*(1+1e-9) {
+		t.Errorf("lower_bound %g exceeds OPT 1.9e307", out.LowerBound)
+	}
+}
+
 func mustJSON(v any) string {
 	raw, err := json.Marshal(v)
 	if err != nil {

@@ -314,7 +314,9 @@ func (s *Server) serve(ctx context.Context, req *SolveRequestV2, legacy bool) (*
 			if err != nil {
 				return s.degrade(ctx, in, dec, err, req, deadline, start)
 			}
-			s.recordFormulation(res, delta == "warm")
+			// Only the paper algorithm consumes a warm state; an LTW
+			// answer to a delta request names its formulation but ran cold.
+			s.recordFormulation(res, delta == "warm" && dec.algo == malsched.AlgoPaper)
 			return solved(res, dec.algo, in, start), nil
 		}
 		var out outcome
@@ -401,10 +403,10 @@ func checkParams(rho *float64, mu *int, m int) error {
 
 // solveOptions builds the solver options of one solve of req: its rho/mu
 // overrides and the formulation pin f ("" lets allot route). With capture
-// set, an unpinned or lazy-pinned solve also captures its LP state,
-// warm-started from warm when given: snapshots only exist on the lazy
-// simplex route, so a mincut pin skips capture, and a solve allot routes
-// to the sweep just returns no state (the identity is not delta-ready).
+// set, the solve also captures its LP state, warm-started from warm when
+// given. Both are best-effort: snapshots only exist on the lazy simplex
+// route, so a solve that runs on the sweep, pinned or routed there,
+// ignores warm and returns no state (the identity is not delta-ready).
 func solveOptions(req *SolveRequestV2, f malsched.Formulation, capture bool, warm *malsched.SolverState) []malsched.Option {
 	var opts []malsched.Option
 	if req.Rho != nil {
@@ -416,7 +418,7 @@ func solveOptions(req *SolveRequestV2, f malsched.Formulation, capture bool, war
 	if f != "" {
 		opts = append(opts, malsched.WithFormulation(f))
 	}
-	if capture && (f == "" || f == malsched.FormulationLazy) {
+	if capture {
 		opts = append(opts, malsched.WithCapture())
 		if warm != nil {
 			opts = append(opts, malsched.WithWarmStart(warm))
@@ -442,7 +444,9 @@ func solveOptions(req *SolveRequestV2, f malsched.Formulation, capture bool, war
 //	        and any other failure on the sweep, which factors no basis.
 //	        Taken only there, and only when the router's estimate fits
 //	        what is left of the budget (measurements: DESIGN.md §9).
-//	rung 2: greedy critical path — always cheap, tier "greedy".
+//	rung 2: greedy critical path, tier "greedy". Its cost is quadratic
+//	        but small next to a paper solve's: O(grants·(n+E)), ~0.25 s at
+//	        n=2000/m=64 (DESIGN.md §8).
 func (s *Server) degrade(ctx context.Context, in *malsched.Instance, dec routeDecision, cause error, req *SolveRequestV2, deadline time.Duration, start time.Time) (*solution, error) {
 	kind := malsched.ClassifyFailure(cause)
 	if !kind.Recoverable() {

@@ -147,12 +147,15 @@ type Result struct {
 	Rho         float64
 	ProvenRatio float64
 	// Formulation records which phase-1 LP formulation actually solved
-	// the allotment problem ("" for baseline heuristics, which skip it).
+	// the allotment problem: paper and LTW report it, and the
+	// fixed-allotment heuristics (greedy, seq, full), which skip the LP,
+	// report "".
 	Formulation Formulation
 	// LPCuts and LPRounds are phase-1 effort diagnostics, with
 	// formulation-dependent meaning: the lazy route reports cuts added
 	// and separation rounds, the min-cut sweep reports parameter
-	// breakpoints and flow augmentations. Both 0 for baselines.
+	// breakpoints and flow augmentations. Both 0 for greedy, seq and
+	// full.
 	LPCuts   int
 	LPRounds int
 	// State is the warm-start handle captured when the solve ran with
@@ -204,10 +207,12 @@ func WithMu(mu int) Option {
 }
 
 // WithFormulation pins the phase-1 LP formulation instead of letting the
-// router pick by instance shape. A mincut pin is incompatible with
-// warm-start capture (snapshots only exist on the lazy route). The two
-// engines share no numerics — the sweep factors no basis — so the serving
-// layer re-solves on the other one when a solve fails.
+// router pick by instance shape. Under a mincut pin, as on the min-cut
+// route, WithCapture returns no state and WithWarmStart is ignored
+// (snapshots only exist on the lazy route). The two engines share no
+// numerics — the sweep factors no basis — so the serving layer re-solves
+// on the other one when a solve fails. Only the paper algorithm reads
+// the pin; LTW solves the same LP on the routed formulation.
 func WithFormulation(f Formulation) Option {
 	return func(o *solveConfig) { o.core.Formulation = f }
 }
@@ -239,6 +244,16 @@ func solveWith(in *Instance, ws *solver.Workspace, opts []Option) (*Result, erro
 	if err != nil {
 		return nil, err
 	}
+	out := result(res)
+	if res.LPSnapshot != nil {
+		out.State = &SolverState{snap: res.LPSnapshot, structFP: in.StructureFingerprint()}
+	}
+	return out, nil
+}
+
+// result converts core's result for every algorithm; the baselines'
+// fixed-allotment results leave the LP fields at zero.
+func result(res *core.Result) *Result {
 	out := &Result{
 		Schedule:    res.Schedule,
 		Makespan:    res.Makespan,
@@ -254,10 +269,7 @@ func solveWith(in *Instance, ws *solver.Workspace, opts []Option) (*Result, erro
 		out.LPCuts = res.Fractional.Cuts
 		out.LPRounds = res.Fractional.Rounds
 	}
-	if res.LPSnapshot != nil {
-		out.State = &SolverState{snap: res.LPSnapshot, structFP: in.StructureFingerprint()}
-	}
-	return out, nil
+	return out
 }
 
 // SolveLTW runs the Lepère–Trystram–Woeginger baseline (the comparison

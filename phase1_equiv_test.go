@@ -52,9 +52,7 @@ func TestPhase1MatchesReferenceOnCanned(t *testing.T) {
 			// The parametric min-cut sweep must land on the same optimum
 			// on the committed corpus (random families are covered in
 			// internal/allot/mincut_test.go).
-			ws.ForceFormulation = allot.FormulationMincut
-			mc, err := allot.SolveLPWith(ai, ws)
-			ws.ForceFormulation = ""
+			mc, err := allot.SolveLPFormulation(ai, ws, allot.FormulationMincut)
 			if err != nil {
 				t.Fatalf("mincut: %v", err)
 			}

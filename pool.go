@@ -65,7 +65,8 @@ func (p *Pool) Solve(ctx context.Context, in *Instance, opts ...Option) (*Result
 // baseline algorithms reuse the worker's workspace the same way, so a mixed
 // algorithm stream (as produced by the serving layer's adaptive router)
 // still runs allocation-free once warm. Per-call options override the
-// pool's options; the baselines ignore the paper algorithm's mu/rho options.
+// pool's options; the baselines ignore them (LTW runs at its own rho and
+// mu, on the routed formulation).
 func (p *Pool) SolveAlgo(ctx context.Context, algo Algorithm, in *Instance, opts ...Option) (*Result, error) {
 	if in == nil {
 		return nil, errNilInstance

@@ -10,6 +10,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"malsched/internal/flow"
+	"malsched/internal/gen"
 )
 
 // testBatch loads every canned instance (plus a few synthetic ones) as the
@@ -377,5 +380,93 @@ func TestParseAlgorithmRoundTrip(t *testing.T) {
 	}
 	if _, err := ParseAlgorithm("quantum"); err == nil {
 		t.Error("unknown name did not error")
+	}
+}
+
+// servingInstance is a layered DAG of depth×width tasks with 1..maxIn
+// predecessors each and mixed-family tasks on m machines (the serving
+// benchmarks' generator), every processing time multiplied by scale.
+func servingInstance(seed int64, depth, width, maxIn, m int, scale float64) *Instance {
+	rng := rand.New(rand.NewSource(seed))
+	g := gen.Layered(depth, width, maxIn, rng)
+	in := &Instance{M: m, Tasks: gen.Tasks(gen.FamilyMixed, g.N(), m, rng)}
+	for j, task := range in.Tasks {
+		times := make([]float64, len(task.Times))
+		for i, p := range task.Times {
+			times[i] = p * scale
+		}
+		in.Tasks[j] = NewTask(task.Name, times)
+	}
+	for v := 0; v < g.N(); v++ {
+		for _, w := range g.Succs(v) {
+			in.Edges = append(in.Edges, [2]int{v, w})
+		}
+	}
+	return in
+}
+
+// TestPinDoesNotOutliveAPanickingSolve: a formulation pin belongs to the
+// solve that asked for it. A mincut-pinned solve that panics inside the
+// sweep must leave nothing behind on its worker: the next, unpinned solve
+// there takes the route a fresh solve takes and gives its answer.
+func TestPinDoesNotOutliveAPanickingSolve(t *testing.T) {
+	in := servingInstance(411, 12, 8, 2, 16, 1) // n=96/m=16: routes to lazy
+	want, err := Solve(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Formulation != FormulationLazy {
+		t.Fatalf("fresh solve routed to %q, want lazy", want.Formulation)
+	}
+	pool := NewPool(1)
+	defer pool.Close()
+
+	flow.FaultSweep = func() bool { panic("injected sweep panic") }
+	_, err = pool.Solve(context.Background(), in, WithFormulation(FormulationMincut))
+	flow.FaultSweep = nil
+	if k := ClassifyFailure(err); k != FailPanic {
+		t.Fatalf("pinned solve: err=%v classified %q, want %q", err, k, FailPanic)
+	}
+
+	got, err := pool.Solve(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Formulation != want.Formulation || fingerprint(got) != fingerprint(want) {
+		t.Errorf("after the panic: %s makespan %v, fresh worker: %s makespan %v",
+			got.Formulation, got.Makespan, want.Formulation, want.Makespan)
+	}
+}
+
+// TestPooledMincutMatchesFresh: a min-cut answer depends on its own
+// instance only. One worker sweeps instances of very different magnitudes
+// back to back, and each answer must equal a fresh worker's bit for bit
+// (the sweep's piece tolerance once leaked from one solve into the next).
+func TestPooledMincutMatchesFresh(t *testing.T) {
+	huge := &Instance{
+		M:     2,
+		Tasks: []Task{NewTask("a", []float64{1e307, 1e307}), NewTask("b", []float64{1e307, 9e306})},
+		Edges: [][2]int{{0, 1}},
+	}
+	// n=500/m=32, the serving benchmark's large shape.
+	large := func(scale float64) *Instance { return servingInstance(1, 25, 20, 3, 32, scale) }
+	seq := []*Instance{large(1e9), large(1e-4), huge, large(1), large(1e-4)}
+
+	pool := NewPool(1)
+	defer pool.Close()
+	pin := WithFormulation(FormulationMincut)
+	for i, in := range seq {
+		want, err := Solve(in, pin)
+		if err != nil {
+			t.Fatalf("solve %d fresh: %v", i, err)
+		}
+		got, err := pool.Solve(context.Background(), in, pin)
+		if err != nil {
+			t.Fatalf("solve %d pooled: %v", i, err)
+		}
+		if fingerprint(got) != fingerprint(want) {
+			t.Errorf("solve %d: pooled lower bound %v makespan %v, fresh %v and %v",
+				i, got.LowerBound, got.Makespan, want.LowerBound, want.Makespan)
+		}
 	}
 }

@@ -32,16 +32,17 @@ func (st *SolverState) StructureFingerprint() string {
 
 // WithCapture asks the solve to export a SolverState in Result.State.
 // Capture is best-effort: only the lazy-cut formulation leaves a
-// transplantable basis, so a solve the router sends to the min-cut sweep
-// returns no state. Pin WithFormulation(FormulationLazy) to make capture
-// unconditional.
+// transplantable basis, so a solve on the min-cut sweep, routed there or
+// pinned, returns no state. Pin WithFormulation(FormulationLazy) to make
+// capture unconditional.
 func WithCapture() Option {
 	return func(o *solveConfig) { o.capture = true }
 }
 
 // WithWarmStart seeds the phase-1 LP from a previously captured state.
 // A nil state, or one captured from a structurally different instance, is
-// ignored (the solve runs cold). Only the paper algorithm consumes it.
+// ignored (the solve runs cold), and so is any state under a mincut pin.
+// Only the paper algorithm consumes it.
 func WithWarmStart(st *SolverState) Option {
 	return func(o *solveConfig) { o.warm = st }
 }
