@@ -159,16 +159,19 @@ govulncheck:
 		echo "govulncheck not installed; skipping (see Makefile for install hint)"; \
 	fi
 
-# Short deterministic fuzz pass over the parsing/quantization surfaces and
+# Short deterministic fuzz pass over the parsing/quantization surfaces,
 # the v2 HTTP edge (FuzzServeV2: arbitrary /v2/solve and /v2/batch bodies
-# never get a 500); the corpora under testdata/fuzz (if any) plus 10s of
-# generated inputs each. Mirrors the CI fuzz-smoke step. Longer local
-# sessions: go test -fuzz FuzzQuantize -fuzztime 5m .
+# never get a 500) and the request decoder (FuzzDecodeV2: the same error
+# and value as encoding/json on every body); the corpora under
+# testdata/fuzz (if any) plus 10s of generated inputs each. Mirrors the CI
+# fuzz-smoke step. Longer local sessions: go test -fuzz FuzzQuantize
+# -fuzztime 5m .
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseAlgorithm$$' -fuzztime=10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzParseFormulation$$' -fuzztime=10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzQuantize$$' -fuzztime=10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzServeV2$$' -fuzztime=10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeV2$$' -fuzztime=10s ./internal/server
 
 ci: lint lint-selftest staticcheck govulncheck build linkcheck race bench-module fuzz-smoke chaos
 	$(GO) test -run '^$$' -bench '$(BENCH_SMOKE)' -benchtime=1x -benchmem .

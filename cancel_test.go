@@ -57,9 +57,25 @@ func TestPoolSolveAlreadyCancelled(t *testing.T) {
 // pivot and every 1024 phase-2 scheduling steps, so the bound holds no
 // matter where in the pipeline the cancellation lands.
 func TestPaperSolveCancelsWithinBudget(t *testing.T) {
+	cancelWithinBudget(t, AlgoPaper, layeredInstance(2000, 64, 9))
+}
+
+// Greedy is what the router's deadline downgrade and the ladder's last
+// rung run. Its allotment loop makes up to n·m grants of one O(n+E)
+// longest-path pass each and polls the cancel flag once per grant, so a
+// greedy solve of layered n=5000/m=64 (about 2 s) aborts within the same
+// budget.
+func TestGreedySolveCancelsWithinBudget(t *testing.T) {
+	cancelWithinBudget(t, AlgoGreedyCP, layeredInstance(5000, 64, 9))
+}
+
+// cancelWithinBudget starts an algo solve of in on a one-worker pool,
+// cancels it 250 ms in, and requires context.Canceled within
+// cancelLatencyBudget of the cancellation.
+func cancelWithinBudget(t *testing.T, algo Algorithm, in *Instance) {
+	t.Helper()
 	p := NewPool(1)
 	defer p.Close()
-	in := layeredInstance(2000, 64, 9)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -69,30 +85,30 @@ func TestPaperSolveCancelsWithinBudget(t *testing.T) {
 	}
 	done := make(chan outcome, 1)
 	go func() {
-		_, err := p.Solve(ctx, in)
+		_, err := p.SolveAlgo(ctx, algo, in)
 		done <- outcome{err: err, at: time.Now()}
 	}()
 
-	// Let the solve get well inside phase 1 before pulling the plug.
+	// Let the solve get well inside its main loop before pulling the plug.
 	time.Sleep(250 * time.Millisecond)
 	select {
 	case o := <-done:
-		// The machine solved 2000 tasks faster than the warm-up sleep;
+		// The machine solved the instance faster than the warm-up sleep;
 		// nothing to cancel. The budget assertion is vacuous here, but
 		// the pre-cancelled path is covered above.
 		if o.err != nil {
-			t.Fatalf("solve failed before cancellation: %v", o.err)
+			t.Fatalf("%v solve failed before cancellation: %v", algo, o.err)
 		}
-		t.Skip("solve finished before cancellation could be exercised")
+		t.Skipf("%v solve finished before cancellation could be exercised", algo)
 	default:
 	}
 	cancelled := time.Now()
 	cancel()
 	o := <-done
 	if !errors.Is(o.err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", o.err)
+		t.Fatalf("%v: err = %v, want context.Canceled", algo, o.err)
 	}
 	if lat := o.at.Sub(cancelled); lat > cancelLatencyBudget {
-		t.Fatalf("solve took %v to abort after cancellation (budget %v)", lat, cancelLatencyBudget)
+		t.Fatalf("%v solve took %v to abort after cancellation (budget %v)", algo, lat, cancelLatencyBudget)
 	}
 }

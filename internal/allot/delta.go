@@ -84,6 +84,18 @@ func (ws *Workspace) CaptureLP(in *Instance) *LPSnapshot {
 // numerically singular on the edited values), degrades to a cold
 // SolveLPWith, never to an error a cold solve would not also produce.
 func SolveLPDeltaWith(in *Instance, ws *Workspace, snap *LPSnapshot) (*Fractional, error) {
+	return SolveLPDeltaFormulation(in, ws, snap, "")
+}
+
+// SolveLPDeltaFormulation is SolveLPDeltaWith under the formulation pin f,
+// which every cold fallback keeps: it solves SolveLPFormulation(in, ws, f)
+// wherever SolveLPDeltaWith solves the auto route. Only the lazy simplex
+// keeps a basis, so a mincut pin ignores snap, and any other name is
+// SolveLPFormulation's error.
+func SolveLPDeltaFormulation(in *Instance, ws *Workspace, snap *LPSnapshot, f Formulation) (*Fractional, error) {
+	if f != "" && f != FormulationLazy {
+		return SolveLPFormulation(in, ws, f)
+	}
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
@@ -93,7 +105,7 @@ func SolveLPDeltaWith(in *Instance, ws *Workspace, snap *LPSnapshot) (*Fractiona
 	n := in.G.N()
 	if snap == nil || snap.Basis == nil || snap.NTasks != n || snap.M != in.M ||
 		snap.Basis.NVars != 3*n+2 {
-		return SolveLPWith(in, ws)
+		return SolveLPFormulation(in, ws, f)
 	}
 	fronts := ws.frontiers(in)
 	p := ws.buildBaseLP(in, fronts)
@@ -109,21 +121,21 @@ func SolveLPDeltaWith(in *Instance, ws *Workspace, snap *LPSnapshot) (*Fractiona
 	for _, c := range snap.Cuts {
 		j := int(c.Task)
 		if j < 0 || j >= n {
-			return SolveLPWith(in, ws)
+			return SolveLPFormulation(in, ws, f)
 		}
-		f := &fronts[j]
-		segs := f.Segments()
+		front := &fronts[j]
+		segs := front.Segments()
 		if segs < 1 {
-			return SolveLPWith(in, ws)
+			return SolveLPFormulation(in, ws, f)
 		}
 		s := int(c.Seg)
 		if s < 0 {
-			return SolveLPWith(in, ws)
+			return SolveLPFormulation(in, ws, f)
 		}
 		if s >= segs {
 			s = segs - 1
 		}
-		ws.logCut(p, f, j, s, n)
+		ws.logCut(p, front, j, s, n)
 	}
 
 	ws.LP.DeferPolish = true
@@ -136,7 +148,7 @@ func SolveLPDeltaWith(in *Instance, ws *Workspace, snap *LPSnapshot) (*Fractiona
 		return nil, err
 	}
 	if err != nil {
-		return SolveLPWith(in, ws)
+		return SolveLPFormulation(in, ws, f)
 	}
 	ws.lastLazyN = n
 	return ws.extractFractional(sol, fronts, cuts, rounds), nil

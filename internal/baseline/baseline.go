@@ -17,6 +17,7 @@ import (
 	"math"
 
 	"malsched/internal/allot"
+	"malsched/internal/cancelflag"
 	"malsched/internal/core"
 	"malsched/internal/solver"
 )
@@ -89,9 +90,10 @@ func uniform(n, l int) []int {
 // practitioner's heuristic with no worst-case guarantee.
 func GreedyCP(in *allot.Instance) (*core.Result, error) { return GreedyCPWith(in, nil) }
 
-// GreedyCPWith is GreedyCP with a reusable workspace.
+// GreedyCPWith is GreedyCP with a reusable workspace. The allotment loop
+// polls the workspace's cancellation flag once per grant.
 func GreedyCPWith(in *allot.Instance, ws *solver.Workspace) (*core.Result, error) {
-	alpha, err := greedyAllotment(in)
+	alpha, err := greedyAllotment(in, ws.CancelFlag())
 	if err != nil {
 		return nil, err
 	}
@@ -102,8 +104,9 @@ func GreedyCPWith(in *allot.Instance, ws *solver.Workspace) (*core.Result, error
 // longest-path pass over one topological order computed up front, with
 // only the granted task's duration changed, so a grant costs O(n+E)
 // without allocating; there are up to n·m grants (about 4n on layered
-// shapes).
-func greedyAllotment(in *allot.Instance) ([]int, error) {
+// shapes). cancel (nil-safe) is polled once per grant, one atomic load
+// per O(n+E) pass; a set flag returns cancelflag.ErrCanceled.
+func greedyAllotment(in *allot.Instance, cancel *cancelflag.Flag) ([]int, error) {
 	n := in.G.N()
 	order, err := in.G.TopoOrder()
 	if err != nil {
@@ -119,6 +122,9 @@ func greedyAllotment(in *allot.Instance) ([]int, error) {
 		work += in.Tasks[j].Work(1)
 	}
 	for iter := 0; iter < n*in.M; iter++ {
+		if cancel.Canceled() {
+			return nil, cancelflag.ErrCanceled
+		}
 		end := in.G.LongestPaths(order, d, dist, from) // n >= 1 here
 		if work/float64(in.M) >= dist[end] {
 			break // load-balanced: more processors only add overhead

@@ -240,7 +240,7 @@ func TestGreedyAllotmentMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := greedyAllotment(in)
+		got, err := greedyAllotment(in, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,8 +55,9 @@ type Options struct {
 	// WarmLP warm-starts phase 1 from a snapshot captured on an instance
 	// with the same structure (task count, DAG shape, machine count) —
 	// the serving layer's delta path. Mismatched snapshots degrade to a
-	// cold solve; the result is an exact LP optimum either way. A mincut
-	// pin ignores it, since the sweep has no basis to start from.
+	// cold solve under the same pin; the result is an exact LP optimum
+	// either way. A mincut pin ignores it, since the sweep has no basis to
+	// start from.
 	WarmLP *allot.LPSnapshot
 }
 
@@ -132,8 +133,8 @@ func SolveWith(in *allot.Instance, opt Options, ws *solver.Workspace) (*Result, 
 	}
 	var frac *allot.Fractional
 	var err error
-	if opt.WarmLP != nil && opt.Formulation != allot.FormulationMincut {
-		frac, err = allot.SolveLPDeltaWith(red, lpws, opt.WarmLP)
+	if opt.WarmLP != nil {
+		frac, err = allot.SolveLPDeltaFormulation(red, lpws, opt.WarmLP, opt.Formulation)
 	} else {
 		frac, err = allot.SolveLPFormulation(red, lpws, opt.Formulation)
 	}

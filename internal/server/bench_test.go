@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"expvar"
 	"fmt"
@@ -46,7 +47,9 @@ func serveOnce(b *testing.B, h http.Handler, body string) {
 // solve_cold is the cache-bypassing full solve, solve_hit the
 // content-addressed hit path, solve_hit_parallel the hit path under
 // GOMAXPROCS-way client concurrency. The gap between cold and hit is the
-// cache's value; E12 in EXPERIMENTS.md records it.
+// cache's value; E12 in EXPERIMENTS.md records it. decode_n96 and
+// decode_n500 time decodeBody alone on the serve body and on a ~300 KB
+// n=500/m=32 body (E19).
 func BenchmarkServe(b *testing.B) {
 	body := string(benchInstance(b))
 	coldBody := strings.Replace(body, `{"instance"`, `{"no_cache":true,"instance"`, 1)
@@ -88,6 +91,36 @@ func BenchmarkServe(b *testing.B) {
 			}
 		})
 	})
+
+	b.Run("decode_n96", func(b *testing.B) { benchDecode(b, []byte(body)) })
+	rng := rand.New(rand.NewSource(412))
+	large := genInstance(gen.Layered(25, 20, 3, rng), gen.FamilyMixed, 32, rng) // n = 500 tasks
+	largeBody, err := json.Marshal(SolveRequestV2{Instance: large})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("decode_n500", func(b *testing.B) { benchDecode(b, largeBody) })
+}
+
+// benchDecode times decodeBody alone on body, a v2 solve request: the
+// capped read and the decode, with the request built once and its body
+// rewound per iteration.
+func benchDecode(b *testing.B, body []byte) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	rd := bytes.NewReader(body)
+	req := httptest.NewRequest(http.MethodPost, "/v2/solve", rd)
+	w := httptest.NewRecorder()
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd.Reset(body)
+		var v SolveRequestV2
+		if !s.decodeBody(w, req, &v) {
+			b.Fatalf("decode failed: %s", w.Body.Bytes())
+		}
+	}
 }
 
 // counter reads one of the server's expvar counters (0 when never touched).

@@ -252,27 +252,6 @@ func badRequestf(format string, args ...any) error {
 	return fmt.Errorf("%w: "+format, append([]any{errBadRequest}, args...)...)
 }
 
-// decodeBody decodes the request body into v under the server's body cap,
-// writing the error response (JSON 413 on overflow, 400 otherwise) itself
-// when it reports false.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := r.Body
-	if s.maxBody > 0 {
-		body = http.MaxBytesReader(w, body, s.maxBody)
-	}
-	if err := json.NewDecoder(body).Decode(v); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			s.httpError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("request body exceeds %d bytes", tooBig.Limit))
-			return false
-		}
-		s.httpError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return false
-	}
-	return true
-}
-
 // solveOne runs one logical v1 solve. It is a thin shim over the shared
 // serving core in legacy mode (see serve in v2.go): same routing, cache
 // and pool path as /v2, with the v2-only behaviours — quality-slot reads,

@@ -274,6 +274,21 @@ func TestBodyLimit(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("in-cap solve under body limit: status %d: %s", resp.StatusCode, data)
 	}
+	// The decoder stops at the end of the first value, so an in-cap
+	// object decodes even when padding runs past the cap after it.
+	for _, pad := range []string{strings.Repeat(" ", 4096), strings.Repeat("x", 4096)} {
+		for _, path := range []string{"/v1/solve", "/v2/solve"} {
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(small+pad))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("%s in-cap object, %q padding past the cap: status %d, want 200 (%s)", path, pad[0], resp.StatusCode, data)
+			}
+		}
+	}
 }
 
 func TestBodyLimitDisabled(t *testing.T) {

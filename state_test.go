@@ -120,3 +120,35 @@ func TestWarmDeltaLowerBoundAboveCrashBound(t *testing.T) {
 		t.Errorf("makespan %v below the lower bound %v", res.Makespan, res.LowerBound)
 	}
 }
+
+// TestLazyPinSurvivesWarmFallback: the warm delta falls back to a cold
+// solve when its snapshot cannot be replayed, here because task 0 of the
+// serving benchmark's n=500/m=32 shape is edited to constant times, which
+// collapses its frontier to a point (no supporting line can stand in for
+// its logged cuts). The shape auto-routes to the min-cut sweep, so a
+// fallback that dropped the lazy pin would answer from the sweep and
+// capture no state.
+func TestLazyPinSurvivesWarmFallback(t *testing.T) {
+	base := layeredInstance(500, 32, 7)
+	if auto, err := Solve(base); err != nil || auto.Formulation != FormulationMincut {
+		t.Fatalf("unpinned base: formulation %q, err %v; the test needs a shape the router sends to min-cut", auto.Formulation, err)
+	}
+	b, err := Solve(base, WithFormulation(FormulationLazy), WithCapture())
+	if err != nil || b.State == nil {
+		t.Fatalf("lazy-pinned base: state %v, err %v", b.State, err)
+	}
+	edited := &Instance{M: base.M, Edges: base.Edges, Tasks: append([]Task(nil), base.Tasks...)}
+	flat := make([]float64, base.M)
+	for i := range flat {
+		flat[i] = base.Tasks[0].Times[0]
+	}
+	edited.Tasks[0] = NewTask(base.Tasks[0].Name, flat)
+
+	res, err := Solve(edited, WithFormulation(FormulationLazy), WithCapture(), WithWarmStart(b.State))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Formulation != FormulationLazy || res.State == nil {
+		t.Errorf("lazy-pinned warm delta ran on %q with state %v, want lazy with a state", res.Formulation, res.State)
+	}
+}
