@@ -15,9 +15,9 @@ BENCH_SMOKE = Phase1LP|WorkspaceReuse|PoolThroughput|List$$|ListReference/layere
 # The benchmarks the CI regression gate fails on (>25% ns/op growth vs the
 # previous push's baseline): the phase-1 LP scenarios — auto-routed
 # layered_n500_m32 and erdos_n500_m48 (min-cut), the deep_n400_m64 pair
-# (auto vs the lazy pin), and layered_n1000_m64 and layered_n2000_m64 on
-# the lazy dual-restart route — the phase-2 profile scheduler scenarios,
-# and the serving paths — both the v1 solve/cache path (BenchmarkServe)
+# (auto vs the lazy pin) and deep_n2000_m64 (auto, lazy), and the min-cut
+# sweep pinned at n=2000 and auto-routed at n=10000 — the phase-2 profile
+# scheduler scenarios, and the serving paths — both the v1 solve/cache path (BenchmarkServe)
 # and the v2 delta re-solve path (BenchmarkServeDelta, whose
 # delta_warm/delta_cold counters benchgate shows next to the timings).
 # Deliberately excludes the micro-benchmarks (Phase2List at 27us would

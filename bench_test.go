@@ -23,6 +23,7 @@ import (
 	"malsched/internal/malleable"
 	"malsched/internal/nlp"
 	"malsched/internal/params"
+	"malsched/internal/prep"
 	"malsched/internal/solver"
 )
 
@@ -150,29 +151,27 @@ type phase1Scenario struct {
 	p    float64
 	seed int64
 	// force pins the phase-1 formulation ("" = the production auto
-	// route by segment mass).
+	// route, allot.UseMincut).
 	force allot.Formulation
 }
 
 var phase1Scenarios = []phase1Scenario{
 	{"erdos_n24_m8", 24, 8, "erdos", 0.2, 9, ""}, // the historical small scenario
+	// Wide shapes: auto sends all three to the sweep.
 	{"layered_n200_m16", 200, 16, "layered", 0, 9, ""},
-	// Past the min-cut threshold: auto routes both to the sweep.
 	{"layered_n500_m32", 500, 32, "layered", 0, 9, ""},
 	// Dense random precedence at scale: the scenario where transitive
 	// reduction (internal/prep) pays — ~2/3 of its arcs are implied.
 	{"erdos_n500_m48", 500, 48, "erdos", 0.03, 9, ""},
-	// A deep DAG past the threshold: auto takes the sweep, whose
-	// breakpoint count grows with depth, while the lazy pin is several
-	// times faster (EXPERIMENTS.md E17). The pair records the router's
-	// misroute until routing looks at depth.
+	// Deep shapes: auto keeps them on the lazy simplex, where the sweep's
+	// breakpoint count, which grows with depth, would cost several times
+	// more (EXPERIMENTS.md E17, E20). The pin beside the n=400 one shows
+	// the auto route costs nothing over the engine it picks.
 	{"deep_n400_m64", 400, 64, "deep", 0, 9, ""},
 	{"deep_n400_m64_lazy", 400, 64, "deep", 0, 9, allot.FormulationLazy},
-	// The lazy-cut loop with dual restarts at scale.
-	{"layered_n1000_m64", 1000, 64, "layered", 0, 9, allot.FormulationLazy},
-	{"layered_n2000_m64", 2000, 64, "layered", 0, 9, allot.FormulationLazy},
-	// The parametric min-cut sweep on the ISSUE-5 headline scenario
-	// (auto now routes it here; the pin keeps the measurement stable
+	{"deep_n2000_m64", 2000, 64, "deep", 0, 9, ""},
+	// The parametric min-cut sweep on the n=2000/m=64 headline scenario
+	// (auto routes it here too; the pin keeps the measurement stable
 	// against router retunes), and the scale the lazy simplex never
 	// reached.
 	{"layered_n2000_m64_mincut", 2000, 64, "layered", 0, 9, allot.FormulationMincut},
@@ -216,38 +215,82 @@ func BenchmarkPhase1LP(b *testing.B) {
 	}
 }
 
-// E17: each phase-1 engine pinned on deep DAGs (chains, width-2 layered)
-// and wide ones (width-8 layered, Erdős p=0.3) at n=100–400 and
-// m=16/32/64 — the grid behind the lazy/min-cut split. Local only: run
-// with -bench Phase1Shapes -benchtime=5x.
+// E20: the grid behind allot.UseMincut. Every shape runs three ways on
+// the production path (prep, then phase 1): each engine pinned, and the
+// auto route, which also reports the shape's task count, depth (tasks on
+// the longest path) and frontier segment mass, so the grid can be
+// re-scored offline against any rule. Families: layered width 2, 4, 8 and
+// 20, Erdős p=0.3 and p=0.05, and chains. n=100–400 at m=16/32/64 for
+// every family, m=2/4/8 at n=400 for every family and at n=2000 for the
+// width-8 and chain families, and n=1000/2000 spot checks at m=16/64.
+// Local only (several minutes): run with
+// -bench Phase1Shapes -benchtime=300ms.
 func BenchmarkPhase1Shapes(b *testing.B) {
-	for _, fam := range []string{"layered2", "layered8", "erdos0.3", "chain"} {
+	type shape struct {
+		fam  string
+		n, m int
+	}
+	families := []string{"layered2", "layered4", "layered8", "layered20", "erdos0.3", "erdos0.05", "chain"}
+	var shapes []shape
+	for _, fam := range families {
 		for _, n := range []int{100, 200, 400} {
 			for _, m := range []int{16, 32, 64} {
-				rng := rand.New(rand.NewSource(int64(1000*n + m)))
-				var g *dag.DAG
-				switch fam {
-				case "layered2":
-					g = gen.Layered(n/2, 2, 3, rng)
-				case "layered8":
-					g = gen.Layered(n/8, 8, 3, rng)
-				case "erdos0.3":
-					g = gen.ErdosDAG(n, 0.3, rng)
-				default:
-					g = gen.Chain(n)
-				}
-				in := gen.Instance(g, gen.FamilyMixed, m, rng)
-				for _, f := range []allot.Formulation{allot.FormulationLazy, allot.FormulationMincut} {
-					b.Run(fmt.Sprintf("%s_n%d_m%d/%s", fam, n, m, f), func(b *testing.B) {
-						ws := solver.NewWorkspace()
-						for i := 0; i < b.N; i++ {
-							if _, err := allot.SolveLPFormulation(ws.Reduce(in), ws.LP(), f); err != nil {
-								b.Fatal(err)
-							}
-						}
-					})
+				shapes = append(shapes, shape{fam, n, m})
+			}
+		}
+		for _, m := range []int{2, 4, 8} {
+			shapes = append(shapes, shape{fam, 400, m})
+			if fam == "layered8" || fam == "chain" {
+				shapes = append(shapes, shape{fam, 2000, m})
+			}
+		}
+		if fam != "erdos0.3" && fam != "layered4" {
+			for _, n := range []int{1000, 2000} {
+				for _, m := range []int{16, 64} {
+					shapes = append(shapes, shape{fam, n, m})
 				}
 			}
+		}
+	}
+	for _, sh := range shapes {
+		n, m := sh.n, sh.m
+		rng := rand.New(rand.NewSource(int64(1000*n + m)))
+		var g *dag.DAG
+		switch sh.fam {
+		case "layered2", "layered4", "layered8", "layered20":
+			var w int
+			fmt.Sscanf(sh.fam, "layered%d", &w)
+			g = gen.Layered(n/w, w, 3, rng)
+		case "erdos0.3":
+			g = gen.ErdosDAG(n, 0.3, rng)
+		case "erdos0.05":
+			g = gen.ErdosDAG(n, 0.05, rng)
+		default:
+			g = gen.Chain(n)
+		}
+		in := gen.Instance(g, gen.FamilyMixed, m, rng)
+		for _, f := range []allot.Formulation{allot.FormulationLazy, allot.FormulationMincut, ""} {
+			name := string(f)
+			if f == "" {
+				name = "auto"
+			}
+			b.Run(fmt.Sprintf("%s_n%d_m%d/%s", sh.fam, n, m, name), func(b *testing.B) {
+				ws := solver.NewWorkspace()
+				for i := 0; i < b.N; i++ {
+					if _, err := allot.SolveLPFormulation(ws.Reduce(in), ws.LP(), f); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if f == "" {
+					mass := 0
+					for _, fr := range in.Frontiers() {
+						mass += fr.Segments()
+					}
+					b.ReportMetric(float64(g.N()), "tasks")
+					b.ReportMetric(float64(prep.NewWorkspace().Depth(g)), "depth")
+					b.ReportMetric(float64(mass), "segs")
+				}
+			})
 		}
 	}
 }

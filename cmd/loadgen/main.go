@@ -13,7 +13,11 @@
 // server's captured LP state), then every request edits N random tasks of
 // a random base and posts base-fingerprint + edits to /v2/solve. The
 // report adds the server's delta outcomes (warm = basis transplant, cold
-// = full re-solve); N <= 8 with -algo paper should be nearly all warm.
+// = full re-solve). With N <= 8 and -algo paper, deltas against bases
+// the solver keeps on the lazy simplex (deep DAGs) should be nearly all
+// warm; bases wide enough for the min-cut sweep (most of testdata/ and
+// the -gen instances) capture no basis, so their deltas re-solve cold
+// unless -formulation lazy pins the simplex for every request.
 //
 // Overload responses (429/503, the server's admission and deadline
 // shedding) are counted separately from hard failures and retried with
@@ -133,7 +137,7 @@ func main() {
 		url = *addr + "/v2/solve"
 	}
 	if *edits > 0 {
-		if err := prime(client, url, mix, *algo); err != nil {
+		if err := prime(client, url, mix, *algo, *formulation); err != nil {
 			fmt.Fprintf(os.Stderr, "loadgen: priming bases: %v\n", err)
 			os.Exit(2)
 		}
@@ -326,9 +330,11 @@ func loadMix(dir string, genExtra int, seed int64) ([]namedInstance, error) {
 
 // prime solves each base once through /v2/solve, recording its fingerprint
 // (and, server-side, the captured LP state the delta workload transplants).
-func prime(client *http.Client, url string, mix []namedInstance, algo string) error {
+// It pins the same formulation as the deltas: the server keys a base's
+// slot by its pin, and a delta finds its base only under its own.
+func prime(client *http.Client, url string, mix []namedInstance, algo, formulation string) error {
 	for i := range mix {
-		raw, err := json.Marshal(request{Instance: mix[i].in, Algo: algo})
+		raw, err := json.Marshal(request{Instance: mix[i].in, Algo: algo, Formulation: formulation})
 		if err != nil {
 			return err
 		}

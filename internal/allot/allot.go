@@ -23,11 +23,12 @@
 // round's cuts valid for the full LP and every round adds at least one
 // new row, so the loop terminates — the same monotone-iteration
 // discipline Esparza–Kiefer–Luttenberger use for least-fixed-point
-// systems — and in practice a handful of cuts per task suffice. Past
-// MincutFormulationMin segments SolveLPWith instead routes to the
-// parametric min-cut sweep (mincut.go), which solves the same relaxation
-// without a simplex. SolveLPReference (reference.go) retains the full
-// dense build as the tests' differential oracle for both.
+// systems — and in practice a handful of cuts per task suffice. On DAGs
+// wide enough for their size and machine count (UseMincut) SolveLPWith
+// instead routes to the parametric min-cut sweep (mincut.go), which
+// solves the same relaxation without a simplex. SolveLPReference
+// (reference.go) retains the full dense build as the tests' differential
+// oracle for both.
 package allot
 
 import (
@@ -157,14 +158,14 @@ func addCut(p *lp.Problem, f *malleable.Frontier, j, s, n int) {
 // fresh buffers). The simplex workspace, LP problem, task frontiers and
 // cut bookkeeping all live in ws and are reused across calls, so repeated
 // solves on same-shaped instances allocate almost nothing beyond the
-// returned Fractional. The router picks the formulation by instance
-// shape; SolveLPFormulation pins one.
+// returned Fractional. UseMincut picks the formulation by the DAG's
+// width; SolveLPFormulation pins one.
 func SolveLPWith(in *Instance, ws *Workspace) (*Fractional, error) {
 	return SolveLPFormulation(in, ws, "")
 }
 
 // SolveLPFormulation is SolveLPWith on the formulation f: lazy or mincut
-// pins that engine, "" lets the router pick by instance shape, and any
+// pins that engine, "" lets UseMincut pick by the DAG's width, and any
 // other name is an error. The pin is an argument, not workspace state, so
 // a pooled workspace carries no choice of engine from one solve to the
 // next.
@@ -180,20 +181,16 @@ func SolveLPFormulation(in *Instance, ws *Workspace, f Formulation) (*Fractional
 	ws.lastLazyN = 0 // only a completed lazy solve leaves capture state
 
 	// Route between the formulations. A pinned formulation short-circuits;
-	// otherwise instances of frontier segment mass MincutFormulationMin
-	// and up go to the parametric sweep (mincut.go) and smaller ones stay
-	// on the lazy-cut loop below.
+	// otherwise UseMincut decides by the DAG's width: wide instances go
+	// to the parametric sweep (mincut.go) and deep ones stay on the
+	// lazy-cut loop below.
 	switch f {
 	case FormulationMincut:
 		return solveLPMincut(in, ws, fronts)
 	case FormulationLazy:
 		// fall through to the lazy-cut loop
 	case "":
-		total := 0
-		for j := range fronts {
-			total += fronts[j].Segments()
-		}
-		if total >= MincutFormulationMin {
+		if UseMincut(n, in.M, ws.chains.Depth(in.G)) {
 			return solveLPMincut(in, ws, fronts)
 		}
 	default:

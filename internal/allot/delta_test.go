@@ -198,7 +198,7 @@ func TestCaptureLPNilOffLazyRoute(t *testing.T) {
 	g := buildDAG("independent", 16, 0, rng)
 	in := gen.Instance(g, gen.FamilyMixed, 8, rng)
 	ws := allot.NewWorkspace()
-	if _, err := allot.SolveLPWith(in, ws); err != nil {
+	if _, err := allot.SolveLPFormulation(in, ws, allot.FormulationLazy); err != nil {
 		t.Fatal(err)
 	}
 	if ws.CaptureLP(in) == nil {

@@ -149,7 +149,8 @@ func TestSolveLPBelowBruteforceOptimal(t *testing.T) {
 
 // TestLazyCutDiagnostics checks the Fractional diagnostics are wired: a
 // single-segment frontier needs no lazy cuts at all, while a work-bound
-// many-segment instance generates some.
+// many-segment instance generates some. Both shapes are wide enough for
+// the auto route to pick the sweep, so both pin the lazy engine.
 func TestLazyCutDiagnostics(t *testing.T) {
 	// Perfect-speedup tasks on m=2: one segment per frontier, the two
 	// seeded endpoint lines coincide, nothing lazy to add.
@@ -163,7 +164,7 @@ func TestLazyCutDiagnostics(t *testing.T) {
 		},
 		M: 2,
 	}
-	frac, err := allot.SolveLP(in)
+	frac, err := allot.SolveLPFormulation(in, nil, allot.FormulationLazy)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestLazyCutDiagnostics(t *testing.T) {
 	// separation through at least one round of violated cuts.
 	rng := rand.New(rand.NewSource(404))
 	in2 := gen.Instance(gen.Layered(10, 6, 3, rng), gen.FamilyMixed, 32, rng)
-	frac2, err := allot.SolveLP(in2)
+	frac2, err := allot.SolveLPFormulation(in2, nil, allot.FormulationLazy)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,9 @@
 // measured back to back on the same machine, and n=10^4 lands in
 // ~46 s where the simplex never finished (EXPERIMENTS.md E16). Deep
 // DAGs are the exception: their breakpoint count grows with depth, and
-// there the lazy simplex can win by an order of magnitude (E17).
+// there the lazy simplex can win by an order of magnitude (E17). So the
+// auto route sends a DAG here only when it is wide for its size and
+// machine count (UseMincut below, fitted on the E20 grid).
 
 package allot
 
@@ -39,15 +41,27 @@ import (
 	"malsched/internal/malleable"
 )
 
-// MincutFormulationMin is the frontier segment mass from which
-// SolveLPWith routes to the parametric min-cut formulation; the serving
-// layer's router reads it too. Measured on the BenchmarkPhase1LP
-// scenarios: n=200/m=16 (mass ~2.4k): lazy 19ms vs mincut 2ms;
-// n=500/m=32 (mass ~12k): lazy 0.8s vs mincut 8ms. Below ~2k mass the
-// lazy loop converges in a couple of restarts on a tiny basis and the
-// crossing is in the noise. The threshold ignores depth, so deep shapes
-// past it take the sweep even where the lazy simplex is faster (E17).
-const MincutFormulationMin = 6000
+// mincutWidthC is the constant c of UseMincut, fitted on the E20 grid
+// (EXPERIMENTS.md): every c in [1.4, 2) routes 104 of its 110 shapes
+// within 1.25× of the faster engine, and none of them more than 1.07×
+// slower than under the segment-mass rule it replaced.
+const mincutWidthC = 1.5
+
+// UseMincut is the one phase-1 engine predicate: an instance of n tasks
+// on m machines whose longest path holds depth tasks goes to the sweep
+// when m·depth² <= c·n², and to the lazy simplex otherwise. Put
+// differently, the sweep takes every DAG whose mean width n/depth is at
+// least √(m/c). The sweep's cost follows its breakpoints, which grow
+// with depth and with the pieces per task (about m), while the simplex
+// pays for the whole basis (about n): a free least-squares fit of
+// log(t_mincut/t_lazy) over the E20 grid gives the exponents 2.3 on
+// depth, −2.2 on n and 1.3 on m, close to this form. SolveLPFormulation's
+// auto route, the server router's cost model and its degradation ladder
+// all decide with it.
+func UseMincut(n, m, depth int) bool {
+	d := float64(depth)
+	return float64(m)*d*d <= mincutWidthC*float64(n)*float64(n)
+}
 
 // solveLPMincut builds the project-crashing network for the instance
 // and runs the parametric sweep. fronts are the instance's efficient

@@ -12,6 +12,7 @@ import (
 	"malsched/internal/flow"
 	"malsched/internal/gen"
 	"malsched/internal/malleable"
+	"malsched/internal/prep"
 )
 
 // checkMincutAgainstSparse solves the instance with the parametric
@@ -127,45 +128,79 @@ func TestSolveLPMincutBelowBruteforceOptimal(t *testing.T) {
 	}
 }
 
-// TestMincutAutoRouting pins the router: an instance of segment mass
-// MincutFormulationMin or more takes the sweep, a smaller one the lazy
-// loop, and an unknown pinned formulation errors.
+// TestMincutAutoRouting pins the auto route to allot.UseMincut on real
+// instances: a wide layered DAG takes the sweep, deep ones (a chain, a
+// width-2 layered DAG) the lazy loop, with depth read off the instance
+// the route sees. An unknown pinned formulation errors.
 func TestMincutAutoRouting(t *testing.T) {
 	rng := rand.New(rand.NewSource(808))
-	mass := func(in *allot.Instance) int {
-		total := 0
-		for _, f := range in.Frontiers() {
-			total += f.Segments()
-		}
-		return total
-	}
 	ws := allot.NewWorkspace()
 	for _, c := range []struct {
+		name string
 		in   *allot.Instance
 		want allot.Formulation
 	}{
-		{gen.Instance(gen.Layered(20, 10, 3, rng), gen.FamilyMixed, 64, rng), allot.FormulationMincut},
-		{gen.Instance(gen.Layered(10, 6, 3, rng), gen.FamilyMixed, 32, rng), allot.FormulationLazy},
+		{"layered_20x10_m64", gen.Instance(gen.Layered(20, 10, 3, rng), gen.FamilyMixed, 64, rng), allot.FormulationMincut},
+		{"layered_10x6_m32", gen.Instance(gen.Layered(10, 6, 3, rng), gen.FamilyMixed, 32, rng), allot.FormulationMincut},
+		{"layered_60x2_m16", gen.Instance(gen.Layered(60, 2, 3, rng), gen.FamilyMixed, 16, rng), allot.FormulationLazy},
+		{"chain_40_m4", gen.Instance(gen.Chain(40), gen.FamilyMixed, 4, rng), allot.FormulationLazy},
 	} {
-		big := mass(c.in) >= allot.MincutFormulationMin
-		if big != (c.want == allot.FormulationMincut) {
-			t.Fatalf("segment mass %d is on the wrong side of %d", mass(c.in), allot.MincutFormulationMin)
+		n := c.in.G.N()
+		d := prep.NewWorkspace().Depth(c.in.G)
+		if allot.UseMincut(n, c.in.M, d) != (c.want == allot.FormulationMincut) {
+			t.Fatalf("%s: n=%d m=%d depth=%d is on the wrong side of the predicate", c.name, n, c.in.M, d)
 		}
 		frac, err := allot.SolveLPWith(c.in, ws)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if frac.Formulation != c.want {
-			t.Errorf("segment mass %d routed to %q, want %q", mass(c.in), frac.Formulation, c.want)
+			t.Errorf("%s (depth %d) routed to %q, want %q", c.name, d, frac.Formulation, c.want)
 		}
-		if frac.Cuts == 0 {
-			t.Errorf("%s solve reports no effort on a work-bound instance", frac.Formulation)
+		// A deep instance's lazy solve may need no cut past the seeds
+		// (TestLazyCutDiagnostics pins lazy effort on a work-bound one);
+		// every sweep crosses at least one breakpoint.
+		if frac.Formulation == allot.FormulationMincut && frac.Cuts == 0 {
+			t.Errorf("%s: sweep reports no breakpoints", c.name)
 		}
 	}
 
 	for _, f := range []allot.Formulation{"segment", "dense"} {
 		if _, err := allot.SolveLPFormulation(gen.Instance(gen.Chain(3), gen.FamilyMixed, 4, rng), ws, f); err == nil {
 			t.Errorf("retired formulation %q did not error", f)
+		}
+	}
+}
+
+// TestUseMincut pins the engine predicate m·D² <= 1.5·n² on the shape
+// families it was fitted on: a chain (D = n) reaches the sweep only on
+// one machine, a width-2 layered DAG (D = n/2) up to m = 6, a width-8 one
+// up to m = 96 and a width-20 one up to m = 600.
+func TestUseMincut(t *testing.T) {
+	for _, c := range []struct {
+		name     string
+		n, m, d  int
+		wantFlow bool
+	}{
+		{"chain_n400_m1", 400, 1, 400, true},
+		{"chain_n400_m2", 400, 2, 400, false},
+		{"chain_n2000_m64", 2000, 64, 2000, false},
+		{"layered2_n400_m6", 400, 6, 200, true},
+		{"layered2_n400_m7", 400, 7, 200, false},
+		{"layered2_n400_m64", 400, 64, 200, false},
+		{"layered2_n2000_m64", 2000, 64, 1000, false},
+		{"layered8_n96_m16", 96, 16, 12, true},
+		{"layered8_n400_m64", 400, 64, 50, true},
+		{"layered8_n400_m96", 400, 96, 50, true},
+		{"layered8_n400_m97", 400, 97, 50, false},
+		{"layered8_n2000_m4", 2000, 4, 250, true},
+		{"layered20_n2000_m64", 2000, 64, 100, true},
+		{"layered20_n2000_m600", 2000, 600, 100, true},
+		{"layered20_n2000_m601", 2000, 601, 100, false},
+		{"independent_n10_m64", 10, 64, 1, true},
+	} {
+		if got := allot.UseMincut(c.n, c.m, c.d); got != c.wantFlow {
+			t.Errorf("%s: UseMincut(%d, %d, %d) = %v, want %v", c.name, c.n, c.m, c.d, got, c.wantFlow)
 		}
 	}
 }

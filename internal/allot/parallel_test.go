@@ -42,11 +42,11 @@ func TestParallelSeparationDeterministic(t *testing.T) {
 
 	// And a same-workspace repeat must match too (warm-path reuse).
 	ws := allot.NewWorkspace()
-	a, err := allot.SolveLPWith(in, ws)
+	a, err := allot.SolveLPFormulation(in, ws, allot.FormulationLazy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := allot.SolveLPWith(in, ws)
+	b, err := allot.SolveLPFormulation(in, ws, allot.FormulationLazy)
 	if err != nil {
 		t.Fatal(err)
 	}

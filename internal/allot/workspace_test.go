@@ -47,31 +47,36 @@ func TestSolveLPWithMatchesSolveLP(t *testing.T) {
 }
 
 // TestSolveLPWithReuseCutsAllocs verifies the phase-1 hot path allocates
-// only the Fractional output once the workspace is warm.
+// only the Fractional output once the workspace is warm, on the auto
+// route and on each engine pinned (the instance is wide enough for the
+// auto route to pick the sweep, so the lazy pin keeps the simplex's hot
+// path under the same bound).
 func TestSolveLPWithReuseCutsAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	in := gen.Instance(gen.ErdosDAG(12, 0.25, rng), gen.FamilyMixed, 8, rng)
-	ws := allot.NewWorkspace()
-	if _, err := allot.SolveLPWith(in, ws); err != nil { // warm-up growth
-		t.Fatal(err)
-	}
-	warm := testing.AllocsPerRun(10, func() {
-		if _, err := allot.SolveLPWith(in, ws); err != nil {
+	for _, f := range []allot.Formulation{"", allot.FormulationLazy, allot.FormulationMincut} {
+		ws := allot.NewWorkspace()
+		if _, err := allot.SolveLPFormulation(in, ws, f); err != nil { // warm-up growth
 			t.Fatal(err)
 		}
-	})
-	// The Fractional result (4 slices + struct) is the only intended
-	// allocation; leave slack for the error-path interfaces but fail loudly
-	// if tableau-sized allocation creeps back in.
-	if warm > 10 {
-		t.Errorf("warm SolveLPWith allocates %v objects per run, want <= 10", warm)
-	}
-	cold := testing.AllocsPerRun(10, func() {
-		if _, err := allot.SolveLP(in); err != nil {
-			t.Fatal(err)
+		warm := testing.AllocsPerRun(10, func() {
+			if _, err := allot.SolveLPFormulation(in, ws, f); err != nil {
+				t.Fatal(err)
+			}
+		})
+		// The Fractional result (4 slices + struct) is the only intended
+		// allocation; leave slack for the error-path interfaces but fail
+		// loudly if tableau-sized allocation creeps back in.
+		if warm > 10 {
+			t.Errorf("formulation %q: warm solve allocates %v objects per run, want <= 10", f, warm)
 		}
-	})
-	if warm >= cold {
-		t.Errorf("workspace reuse does not cut allocations: warm %v >= cold %v", warm, cold)
+		cold := testing.AllocsPerRun(10, func() {
+			if _, err := allot.SolveLPFormulation(in, nil, f); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if warm >= cold {
+			t.Errorf("formulation %q: workspace reuse does not cut allocations: warm %v >= cold %v", f, warm, cold)
+		}
 	}
 }

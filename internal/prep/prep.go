@@ -219,3 +219,22 @@ func (ws *Workspace) Topo(g *dag.DAG) ([]int32, bool) {
 	ws.order = order
 	return order, len(order) == n
 }
+
+// Depth returns the number of tasks on a longest path of g, 0 for the
+// empty graph, from Topo's order. It reuses Topo's in-degree scratch as
+// the per-vertex path length (Kahn's pass leaves every ordered vertex's
+// count at zero), so it allocates nothing once the workspace has grown.
+// On a cyclic g only the vertices Topo ordered are counted.
+func (ws *Workspace) Depth(g *dag.DAG) int {
+	order, _ := ws.Topo(g)
+	reach := ws.indeg[:g.N()]
+	depth := int32(0)
+	for _, v := range order {
+		d := reach[v] + 1
+		depth = max(depth, d)
+		for _, s := range g.Succs(int(v)) {
+			reach[s] = max(reach[s], d)
+		}
+	}
+	return int(depth)
+}

@@ -115,3 +115,37 @@ func edgeSet(g *dag.DAG) map[[2]int]bool {
 	}
 	return s
 }
+
+// TestDepth counts tasks on a longest path, reusing one workspace across
+// graphs of different sizes, and on a cyclic graph counts only what Topo
+// orders (the tasks before the cycle).
+func TestDepth(t *testing.T) {
+	cyclic := dag.New(4)
+	cyclic.MustEdge(0, 1)
+	cyclic.MustEdge(1, 2)
+	cyclic.MustEdge(2, 1)
+	cyclic.MustEdge(2, 3)
+	diamond := dag.New(4)
+	diamond.MustEdge(0, 1)
+	diamond.MustEdge(0, 2)
+	diamond.MustEdge(1, 3)
+	diamond.MustEdge(2, 3)
+	diamond.MustEdge(0, 3)
+	ws := prep.NewWorkspace()
+	for _, c := range []struct {
+		name string
+		g    *dag.DAG
+		want int
+	}{
+		{"chain", gen.Chain(50), 50},
+		{"empty", dag.New(0), 0},
+		{"independent", gen.Independent(7), 1},
+		{"layered", gen.Layered(9, 4, 3, rand.New(rand.NewSource(1))), 9},
+		{"diamond with a shortcut", diamond, 3},
+		{"cyclic", cyclic, 1},
+	} {
+		if got := ws.Depth(c.g); got != c.want {
+			t.Errorf("%s: depth %d, want %d", c.name, got, c.want)
+		}
+	}
+}

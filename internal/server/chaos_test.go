@@ -73,8 +73,10 @@ func TestChaos(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 4, MaxPending: 64, MaxJobs: 64})
 
 	// A small pool of distinct instances, up to the 96x16 serving shape
-	// and a 168-task one. The ladder's engine rung answers most failures;
-	// greedy takes those whose rescue fails too.
+	// and a 168-task one. The three generated ones are wide, so the auto
+	// route sends them to the sweep; the chain stays on the simplex. The
+	// ladder's engine rung answers most failures; greedy takes those
+	// whose rescue fails too.
 	instances := []*malsched.Instance{
 		loadTestdata(t, "chain_n10_m4.json"),
 		loadTestdata(t, "erdos_n16_m16.json"),
@@ -157,7 +159,7 @@ func TestChaos(t *testing.T) {
 				in := instances[rng.Intn(len(instances))]
 				req := SolveRequestV2{Instance: in}
 				pinnedPaper := false
-				switch rng.Intn(5) {
+				switch rng.Intn(6) {
 				case 0:
 					req.Algo = "paper"
 					pinnedPaper = true
@@ -171,6 +173,13 @@ func TestChaos(t *testing.T) {
 					// path; its stalls must ride the ladder like any other
 					// recoverable failure.
 					req.Formulation = "mincut"
+				case 4:
+					// Pin the lazy simplex for the same reason: the
+					// generated instances are wide enough for the auto
+					// route to run the sweep, so without this slice only
+					// the two testdata instances would reach the armed
+					// LU-factor fault point.
+					req.Formulation = "lazy"
 				}
 				async := rng.Intn(4) == 0
 

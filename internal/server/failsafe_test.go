@@ -60,13 +60,15 @@ func withSlowSolve(t *testing.T, d time.Duration) {
 
 // A sparse-simplex failure on the serving shape (96 tasks x 16 machines)
 // must fall back to the min-cut sweep, which factors no basis: same
-// paper-tier answer, labeled degraded, never a 500 and never greedy.
+// paper-tier answer, labeled degraded, never a 500 and never greedy. The
+// shape auto-routes to the sweep, so the request pins lazy to reach the
+// simplex.
 func TestDegradeDenseRungOnLUFailure(t *testing.T) {
 	withLUFault(t, func() bool { return true })
 	_, ts := newTestServer(t, Config{})
 	in := generatedInstance(t, 96, 16)
 
-	resp, data := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Instance: in, Algo: "paper"})
+	resp, data := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Instance: in, Algo: "paper", Formulation: "lazy"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d, want 200: %s", resp.StatusCode, data)
 	}
@@ -248,6 +250,45 @@ func TestDegradeEngineRungLazyAfterSweepStall(t *testing.T) {
 	}
 }
 
+// An auto-routed serve-shape request runs the sweep (allot.UseMincut), so
+// when the sweep fails the rung re-solves on lazy: after a stall, and
+// after any other recoverable failure such as a panic, which a rung that
+// guessed the failed engine from the error alone would re-run on the
+// sweep.
+func TestDegradeEngineRungLazyAfterAutoSweepFailure(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		fault  func() bool
+		reason string
+	}{
+		{"stall", func() bool { return true }, "iteration-limit"},
+		{"panic", func() bool { panic("injected sweep panic") }, "solver-panic"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			withSweepFault(t, c.fault)
+			_, ts := newTestServer(t, Config{})
+			in := generatedInstance(t, 96, 16)
+
+			resp, data := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Instance: in})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d, want 200: %s", resp.StatusCode, data)
+			}
+			out := decodeSolveV2(t, data)
+			if !out.Routed || out.Algo != "paper" || out.Tier != "paper" || out.Formulation != "lazy" {
+				t.Fatalf("want a routed paper-tier answer from lazy, got routed=%v algo=%s tier=%s formulation=%s",
+					out.Routed, out.Algo, out.Tier, out.Formulation)
+			}
+			if !out.Degraded || out.DegradedReason != c.reason {
+				t.Fatalf("degraded=%v reason=%q, want true/%s", out.Degraded, out.DegradedReason, c.reason)
+			}
+			m := metrics(t, ts)
+			if m["degrade_engine"] != 1 || m["degrade_greedy"] != 0 {
+				t.Fatalf("degrade_engine=%v degrade_greedy=%v, want 1 and 0", m["degrade_engine"], m["degrade_greedy"])
+			}
+		})
+	}
+}
+
 // The engine rung runs only when the router's estimate fits what is left
 // of the request's budget. A deadline well under the estimate sends the
 // same stalled request to greedy instead. The deadline sits above the
@@ -257,8 +298,8 @@ func TestDegradeEngineRungRespectsDeadline(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	in := generatedInstance(t, 96, 16)
 	const deadlineMS = 10
-	if est := paperEstimate(len(in.Tasks), in.M); est <= deadlineMS*time.Millisecond {
-		t.Fatalf("paper estimate %v fits the %d ms deadline; the test needs it not to", est, deadlineMS)
+	if est := time.Duration(paperNSPerN2 * len(in.Tasks) * len(in.Tasks)); est <= deadlineMS*time.Millisecond {
+		t.Fatalf("rung estimate %v fits the %d ms deadline; the test needs it not to", est, deadlineMS)
 	}
 
 	resp, data := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{
@@ -278,16 +319,16 @@ func TestDegradeEngineRungRespectsDeadline(t *testing.T) {
 	}
 }
 
-// Inside the min-cut window the router's estimate does not price a lazy
-// re-solve (the record has lazy there at up to 5.5x it), so a stalled
-// sweep on an auto-routed request goes straight to greedy, even with a
-// deadline the lazy estimate would fit.
+// Past the sizes where paperNSPerN2·n² prices a re-solve (rungPriced; the
+// record has lazy there at up to 5.5x it), a stalled sweep on an
+// auto-routed request goes straight to greedy, even with a deadline the
+// estimate would fit.
 func TestDegradeMincutWindowSkipsEngineRung(t *testing.T) {
 	withSweepFault(t, func() bool { return true })
 	_, ts := newTestServer(t, Config{})
 	in := generatedInstance(t, 200, 64)
-	if !inMincutWindow(len(in.Tasks), in.M) {
-		t.Fatalf("n=%d m=%d is outside the min-cut window; the test needs it inside", len(in.Tasks), in.M)
+	if rungPriced(len(in.Tasks), in.M) {
+		t.Fatalf("n=%d m=%d is inside the rung's priced sizes; the test needs it past them", len(in.Tasks), in.M)
 	}
 
 	resp, data := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Instance: in, DeadlineMS: 5000})

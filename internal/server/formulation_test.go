@@ -103,16 +103,15 @@ func containsStr(s, sub string) bool {
 	return false
 }
 
-// TestV2FormulationAutoMincut is the serving half of the tentpole's
-// acceptance: a large-segment-mass instance posted with no pins at all
-// must auto-route to the paper algorithm AND the solver's internal
+// TestV2FormulationAutoMincut: a wide instance posted with no pins at
+// all must auto-route to the paper algorithm AND the solver's internal
 // formulation router must pick the parametric min-cut sweep — observable
 // in the response's formulation field and in /metrics.
 func TestV2FormulationAutoMincut(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	// ~500 tasks on 64 machines: segment mass ~40 per task clears the
-	// mincut crossover (allot.MincutFormulationMin) while n stays well inside
-	// the server's paper-tier budget.
+	// ~500 tasks in layers of 8 on 64 machines: wide enough for the sweep
+	// (allot.UseMincut) while n stays well inside the server's paper-tier
+	// budget.
 	in := generatedInstance(t, 500, 64)
 
 	resp, data := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Instance: in})

@@ -15,7 +15,10 @@ import (
 // shed (429, 503), never a 500 or a panic, and a 200 body always decodes.
 // The seeds are a plain, a delta and a batch request, plus one body past
 // each input limit the server checks before solving: rho outside [0,1],
-// mu above m, and total work past the float64 range.
+// mu above m, and total work past the float64 range. Three more carry
+// edges that validation rejects (out of range, a self-loop, a cycle) with
+// a deadline between the two engines' estimates, so the router's depth
+// pass runs on them before validation does.
 func FuzzServeV2(f *testing.F) {
 	const inst = `{"m": 4, "tasks": [{"Name": "a", "Times": [4, 2.2, 1.6, 1.3]}, {"Name": "b", "Times": [8, 4.4, 3.2, 2.6]}], "edges": [[0, 1]]}`
 	var base malsched.Instance
@@ -32,6 +35,9 @@ func FuzzServeV2(f *testing.F) {
 		{false, `{"instance": ` + inst + `, "rho": 2}`},
 		{false, `{"instance": ` + inst + `, "mu": 99}`},
 		{false, `{"instance": ` + overflowInstance + `}`},
+		{false, `{"instance": ` + edgesInstance(`[[0, 1], [1, 7], [-3, 0]]`) + `, "deadline_ms": 0.005}`},
+		{false, `{"instance": ` + edgesInstance(`[[0, 1], [1, 1]]`) + `, "deadline_ms": 0.005}`},
+		{true, `{"instances": [` + edgesInstance(`[[0, 1], [1, 0]]`) + `], "deadline_ms": 0.005}`},
 	} {
 		f.Add(seed.batch, []byte(seed.body))
 	}
@@ -57,4 +63,10 @@ func FuzzServeV2(f *testing.F) {
 			t.Fatalf("%s: status %d: %s", path, w.Code, w.Body.Bytes())
 		}
 	})
+}
+
+// edgesInstance is FuzzServeV2's two-task instance with the given edge
+// list.
+func edgesInstance(edges string) string {
+	return `{"m": 4, "tasks": [{"Name": "a", "Times": [4, 2.2, 1.6, 1.3]}, {"Name": "b", "Times": [8, 4.4, 3.2, 2.6]}], "edges": ` + edges + `}`
 }

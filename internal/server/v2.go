@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"malsched"
+	"malsched/internal/allot"
 	"malsched/internal/flow"
 )
 
@@ -438,12 +439,13 @@ func solveOptions(req *SolveRequestV2, f malsched.Formulation, capture bool, war
 // the flight retry it (cache.do's cancellation rule) instead of failing a
 // healthy request with this leader's abandoned ladder; cause otherwise.
 //
-//	rung 1: the other exact phase-1 engine, same paper tier. Outside the
-//	        min-cut window the router predicts lazy for an unpinned
-//	        request, so a stalled sweep or a mincut pin re-solves on lazy
-//	        and any other failure on the sweep, which factors no basis.
-//	        Taken only there, and only when the router's estimate fits
-//	        what is left of the budget (measurements: DESIGN.md §9).
+//	rung 1: the other exact phase-1 engine, same paper tier. The engine
+//	        that failed is the pin if there is one, else the one
+//	        allot.UseMincut picked; a stalled sweep (flow.ErrStalled)
+//	        always means the sweep ran. Taken only at sizes where
+//	        paperNSPerN2·n² prices either engine (rungPriced), and only
+//	        when that estimate fits what is left of the budget
+//	        (measurements: DESIGN.md §9).
 //	rung 2: greedy critical path, tier "greedy". Its cost is quadratic
 //	        but small next to a paper solve's: O(grants·(n+E)), ~0.25 s at
 //	        n=2000/m=64 (DESIGN.md §8).
@@ -460,10 +462,14 @@ func (s *Server) degrade(ctx context.Context, in *malsched.Instance, dec routeDe
 	}
 	var sol *solution
 	n := len(in.Tasks)
-	if dec.algo == malsched.AlgoPaper && !inMincutWindow(n, in.M) &&
-		paperEstimate(n, in.M) <= budget-time.Since(start) {
+	if dec.algo == malsched.AlgoPaper && rungPriced(n, in.M) &&
+		time.Duration(paperNSPerN2*int64(n)*int64(n)) <= budget-time.Since(start) {
+		ranSweep := req.Formulation == string(malsched.FormulationMincut)
+		if req.Formulation == "" {
+			ranSweep = allot.UseMincut(n, in.M, depth(in))
+		}
 		other := malsched.FormulationMincut
-		if errors.Is(cause, flow.ErrStalled) || req.Formulation == string(malsched.FormulationMincut) {
+		if ranSweep || errors.Is(cause, flow.ErrStalled) {
 			other = malsched.FormulationLazy
 		}
 		if res, err := s.pool.SolveAlgo(ctx, malsched.AlgoPaper, in, solveOptions(req, other, false, nil)...); err == nil {

@@ -287,10 +287,13 @@ func waitForTier(t *testing.T, ts *httptest.Server, fp, want string) SolutionPro
 func TestV2RefineBehind(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	in := loadTestdata(t, "layered_n12_m8.json")
+	// The shape auto-routes to the sweep, which keeps no delta state, so
+	// the request pins lazy; its refinement and quality slot carry the pin.
+	req := SolveRequestV2{Instance: in, DeadlineMS: 0.0001, Formulation: "lazy"}
 
 	// An impossible deadline downgrades to greedy; the answer comes back
 	// immediately at tier greedy with a refinement queued behind it.
-	resp, data := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Instance: in, DeadlineMS: 0.0001})
+	resp, data := postJSON(t, ts.URL+"/v2/solve", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, data)
 	}
@@ -303,7 +306,7 @@ func TestV2RefineBehind(t *testing.T) {
 	}
 
 	// The background paper solve lands in the quality slot tier-monotonically.
-	probe := waitForTier(t, ts, first.Fingerprint, "paper")
+	probe := waitForTier(t, ts, first.Fingerprint+"?formulation=lazy", "paper")
 	if probe.Algo != "paper" || !probe.DeltaReady {
 		t.Errorf("refined slot: %+v, want paper with delta state", probe)
 	}
@@ -313,7 +316,7 @@ func TestV2RefineBehind(t *testing.T) {
 
 	// The same downgraded request now returns the paper answer at cache-hit
 	// latency: quality-first lookup accepts any tier >= the routed one.
-	_, data = postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Instance: in, DeadlineMS: 0.0001})
+	_, data = postJSON(t, ts.URL+"/v2/solve", req)
 	second := decodeSolveV2(t, data)
 	if second.Cache != "hit" || second.Tier != "paper" || second.Algo != "paper" {
 		t.Errorf("repeat after refinement: cache %q tier %q algo %q, want hit/paper/paper", second.Cache, second.Tier, second.Algo)
@@ -330,7 +333,7 @@ func TestV2RefineBehind(t *testing.T) {
 
 func TestV2SolutionsProbe(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	in := loadTestdata(t, "forkjoin_n10_m4.json")
+	in := loadTestdata(t, "chain_n10_m4.json") // deep: lazy, so delta-ready
 
 	resp, err := http.Get(ts.URL + "/v2/solutions/malsched-fp-v2:nope")
 	if err != nil {

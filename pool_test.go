@@ -408,9 +408,10 @@ func servingInstance(seed int64, depth, width, maxIn, m int, scale float64) *Ins
 // TestPinDoesNotOutliveAPanickingSolve: a formulation pin belongs to the
 // solve that asked for it. A mincut-pinned solve that panics inside the
 // sweep must leave nothing behind on its worker: the next, unpinned solve
-// there takes the route a fresh solve takes and gives its answer.
+// there takes the route a fresh solve takes and gives its answer. The
+// instance is deep (48 layers of 2 tasks, m=16), so that route is lazy.
 func TestPinDoesNotOutliveAPanickingSolve(t *testing.T) {
-	in := servingInstance(411, 12, 8, 2, 16, 1) // n=96/m=16: routes to lazy
+	in := servingInstance(411, 48, 2, 2, 16, 1) // n=96/m=16, depth 48: routes to lazy
 	want, err := Solve(in)
 	if err != nil {
 		t.Fatal(err)

@@ -50,17 +50,20 @@ func benchDelta(seed int64, i int) (base, edited *Instance) {
 }
 
 // warmDelta solves base with capture, then edited warm from the base's
-// state, the way the server answers a delta request.
+// state, the way the server answers a delta request. Both solves pin the
+// lazy engine: the serve shape auto-routes to the sweep, which captures
+// no state, and the warm path these regressions were found on is the
+// lazy one.
 func warmDelta(t *testing.T, base, edited *Instance) *Result {
 	t.Helper()
-	b, err := Solve(base, WithCapture())
+	b, err := Solve(base, WithFormulation(FormulationLazy), WithCapture())
 	if err != nil {
 		t.Fatalf("base: %v", err)
 	}
 	if b.State == nil {
 		t.Fatal("base solve captured no state")
 	}
-	res, err := Solve(edited, WithCapture(), WithWarmStart(b.State))
+	res, err := Solve(edited, WithFormulation(FormulationLazy), WithCapture(), WithWarmStart(b.State))
 	if err != nil {
 		t.Fatalf("warm delta: %v", err)
 	}
@@ -94,7 +97,7 @@ func crashBound(t *testing.T, in *Instance) float64 {
 func TestWarmDeltaSingularRetriesCold(t *testing.T) {
 	base, edited := benchDelta(609, 533)
 	res := warmDelta(t, base, edited)
-	cold, err := Solve(edited)
+	cold, err := Solve(edited, WithFormulation(FormulationLazy))
 	if err != nil {
 		t.Fatal(err)
 	}
