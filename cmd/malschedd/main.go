@@ -3,8 +3,7 @@
 // adaptive solver routing (see internal/server and DESIGN.md §8).
 //
 //	malschedd [-addr :8080] [-workers 0] [-cache-entries 4096]
-//	          [-cache-shards 16] [-max-jobs 1024] [-max-body 268435456]
-//	          [-max-pending 1024]
+//	          [-max-jobs 1024] [-max-body 268435456] [-max-pending 1024]
 //
 // Endpoints:
 //
@@ -42,7 +41,6 @@ func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	workers := flag.Int("workers", 0, "solver pool size (0 = GOMAXPROCS)")
 	cacheEntries := flag.Int("cache-entries", 4096, "resident solution cache bound (negative disables)")
-	cacheShards := flag.Int("cache-shards", 16, "cache shard count")
 	maxJobs := flag.Int("max-jobs", 1024, "finished async jobs kept queryable")
 	maxBody := flag.Int64("max-body", 0, "request body cap in bytes (0 = 256 MiB default; raise for million-task instances, negative disables)")
 	maxPending := flag.Int("max-pending", 0, "admission bound: max requests waiting for a solver worker (0 = 1024 default); excess is shed with 429")
@@ -52,7 +50,6 @@ func main() {
 	srv := server.New(server.Config{
 		Workers:      *workers,
 		CacheEntries: *cacheEntries,
-		CacheShards:  *cacheShards,
 		MaxJobs:      *maxJobs,
 		MaxBodyBytes: *maxBody,
 		MaxPending:   *maxPending,
@@ -67,8 +64,8 @@ func main() {
 
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	log.Printf("malschedd: listening on %s (%d workers, cache %d entries / %d shards)",
-		*addr, srv.Workers(), *cacheEntries, *cacheShards)
+	log.Printf("malschedd: listening on %s (%d workers, cache %d entries)",
+		*addr, srv.Workers(), *cacheEntries)
 
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)

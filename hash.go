@@ -5,7 +5,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"math"
-	"sort"
+
+	"malsched/internal/prep"
 )
 
 // fingerprintVersion tags the canonical encoding; bump it whenever the
@@ -61,7 +62,7 @@ func (in *Instance) Fingerprint() string {
 		}
 	}
 
-	edges := canonicalEdges(in.Edges)
+	edges := prep.DedupEdges(in.Edges)
 	writeUvarint(uint64(len(edges)))
 	for _, e := range edges {
 		// Signed varints: edge endpoints are indices and should be
@@ -105,7 +106,7 @@ func (in *Instance) StructureFingerprint() string {
 		writeUvarint(uint64(len(t.Times)))
 	}
 
-	edges := canonicalEdges(in.Edges)
+	edges := prep.DedupEdges(in.Edges)
 	writeUvarint(uint64(len(edges)))
 	for _, e := range edges {
 		h.Write(buf[:binary.PutVarint(buf[:], int64(e[0]))])
@@ -113,28 +114,6 @@ func (in *Instance) StructureFingerprint() string {
 	}
 
 	return hex.EncodeToString(h.Sum(nil))
-}
-
-// canonicalEdges returns the edge list sorted lexicographically with
-// duplicates removed, without modifying the input.
-func canonicalEdges(in [][2]int) [][2]int {
-	edges := make([][2]int, len(in))
-	copy(edges, in)
-	sort.Slice(edges, func(a, b int) bool {
-		if edges[a][0] != edges[b][0] {
-			return edges[a][0] < edges[b][0]
-		}
-		return edges[a][1] < edges[b][1]
-	})
-	n := 0
-	for i, e := range edges {
-		if i > 0 && e == edges[i-1] {
-			continue
-		}
-		edges[n] = e
-		n++
-	}
-	return edges[:n]
 }
 
 // quantize rounds p's mantissa to its top fingerprintMantissaBits bits,

@@ -3,6 +3,7 @@ package malsched
 import (
 	"bytes"
 	"math"
+	"os"
 	"regexp"
 	"testing"
 )
@@ -47,6 +48,39 @@ func TestFingerprintIgnoresEdgeOrderAndDuplicates(t *testing.T) {
 	b.Edges = [][2]int{{1, 2}, {0, 1}, {1, 2}}
 	if a.Fingerprint() != b.Fingerprint() {
 		t.Error("edge permutation + duplicate changed the fingerprint")
+	}
+}
+
+// TestFingerprintGolden pins both encodings on a committed instance.
+// Clients hold fingerprints across requests (a delta request names its
+// base by one), so an encoding change must come with a version bump, not
+// slip in; edge order and duplicates must not move either value.
+func TestFingerprintGolden(t *testing.T) {
+	f, err := os.Open("testdata/layered_n12_m8.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	in, err := ReadJSON(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shuffled := *in
+	shuffled.Edges = append([][2]int{in.Edges[0]}, in.Edges...)
+	for i, j := 0, len(shuffled.Edges)-1; i < j; i, j = i+1, j-1 {
+		shuffled.Edges[i], shuffled.Edges[j] = shuffled.Edges[j], shuffled.Edges[i]
+	}
+	const (
+		fp  = "58d6ae885161bdeea63386c68717d4f7692556ceda6d482945d6fd184bc9d4a4"
+		sfp = "3283198794fd9a549a0c2995d7703ee6d8a3a27b8b7815e6898cac4f3faacfe3"
+	)
+	for name, x := range map[string]*Instance{"committed": in, "reversed+duplicate": &shuffled} {
+		if got := x.Fingerprint(); got != fp {
+			t.Errorf("%s: Fingerprint %s, want %s", name, got, fp)
+		}
+		if got := x.StructureFingerprint(); got != sfp {
+			t.Errorf("%s: StructureFingerprint %s, want %s", name, got, sfp)
+		}
 	}
 }
 

@@ -32,6 +32,7 @@
 package allot
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
@@ -146,6 +147,26 @@ func lineCoefs(f *malleable.Frontier, s int) (slope, intercept float64) {
 	return slope, intercept
 }
 
+// eachRep calls fn, in segment order, on the slope-representative
+// segments of f with their supporting lines (lineCoefs): the first
+// segment, and each one whose slope differs from the last
+// representative's by more than 1e-6 relative. A chain of nearly
+// collinear segments thus collapses onto its first member; the skipped
+// lines sit below the representative's by at most the slope gap times
+// the chain width, far inside the cut tolerance. Both engines optimise
+// over exactly these lines — the lazy loop's cuts and the sweep's
+// crashing curves (repFill) — so they solve the identical relaxation.
+func eachRep(f *malleable.Frontier, fn func(s int, slope, intercept float64)) {
+	lastRep := math.Inf(-1)
+	for s := 0; s < f.Segments(); s++ {
+		slope, intercept := lineCoefs(f, s)
+		if s == 0 || math.Abs(slope-lastRep) > 1e-6*(1+math.Abs(slope)) {
+			fn(s, slope, intercept)
+			lastRep = slope
+		}
+	}
+}
+
 // addCut appends the supporting-line row of segment s of task j:
 // slope*x_j + intercept <= wbar_j  <=>  slope*x_j - wbar_j <= -intercept.
 func addCut(p *lp.Problem, f *malleable.Frontier, j, s, n int) {
@@ -170,6 +191,22 @@ func SolveLPWith(in *Instance, ws *Workspace) (*Fractional, error) {
 // a pooled workspace carries no choice of engine from one solve to the
 // next.
 func SolveLPFormulation(in *Instance, ws *Workspace, f Formulation) (*Fractional, error) {
+	return SolveLPFrom(in, ws, f, nil)
+}
+
+// SolveLPFrom is SolveLPFormulation started from snap, an LPSnapshot
+// captured on a structurally identical instance (delta.go); a nil snap
+// starts cold. A snapshot is a start of the lazy simplex, not another
+// solver: the same build and the same cut loop run either way, and only
+// the first solve differs — the replayed cut log from the snapshot's
+// basis (lp.SolveHotWith) instead of the endpoint seeds from the crash
+// basis (lp.SolveWith). So a snapshot that fits in keeps the auto route
+// on lazy, and a mincut pin ignores it. A snapshot that does not fit,
+// and a warm attempt that fails with anything but cancellation (a
+// transplanted basis can turn singular on the edited values), restart
+// the solve cold under the same pin — the auto route asks UseMincut
+// again — so a warm start never fails where the cold solve succeeds.
+func SolveLPFrom(in *Instance, ws *Workspace, f Formulation, snap *LPSnapshot) (*Fractional, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
 	}
@@ -178,67 +215,92 @@ func SolveLPFormulation(in *Instance, ws *Workspace, f Formulation) (*Fractional
 	}
 	n := in.G.N()
 	fronts := ws.frontiers(in)
-	ws.lastLazyN = 0 // only a completed lazy solve leaves capture state
+	if !snap.fits(in, fronts) {
+		snap = nil
+	}
+	//malsched:bounded two passes at most: only a warm pass restarts, and it restarts cold
+	for {
+		ws.lastLazyN = 0 // only a completed lazy solve leaves capture state
 
-	// Route between the formulations. A pinned formulation short-circuits;
-	// otherwise UseMincut decides by the DAG's width: wide instances go
-	// to the parametric sweep (mincut.go) and deep ones stay on the
-	// lazy-cut loop below.
-	switch f {
-	case FormulationMincut:
-		return solveLPMincut(in, ws, fronts)
-	case FormulationLazy:
-		// fall through to the lazy-cut loop
-	case "":
-		if UseMincut(n, in.M, ws.chains.Depth(in.G)) {
+		// Route between the formulations. A pin short-circuits; otherwise
+		// a fitting snapshot keeps the solve on the lazy-cut loop below,
+		// and UseMincut decides by the DAG's width: wide instances go to
+		// the parametric sweep (mincut.go) and deep ones stay lazy.
+		switch f {
+		case FormulationMincut:
 			return solveLPMincut(in, ws, fronts)
-		}
-	default:
-		return nil, fmt.Errorf("allot: unknown formulation %q", f)
-	}
-
-	p := ws.buildBaseLP(in, fronts)
-
-	// Seed cuts: the two endpoint supporting lines of every task tie wbar_j
-	// to the work function at both extremes of the domain (the steep end
-	// uses the last representative segment).
-	for j := 0; j < n; j++ {
-		f := &fronts[j]
-		segs := f.Segments()
-		if segs < 1 {
-			continue
-		}
-		base := int(ws.segOff[j])
-		ws.logCut(p, f, j, 0, n)
-		for s := segs - 1; s > 0; s-- {
-			if ws.segRep[base+s] {
-				ws.logCut(p, f, j, s, n)
-				break
+		case FormulationLazy:
+			// fall through to the lazy-cut loop
+		case "":
+			if snap == nil && UseMincut(n, in.M, ws.chains.Depth(in.G)) {
+				return solveLPMincut(in, ws, fronts)
 			}
+		default:
+			return nil, fmt.Errorf("allot: unknown formulation %q", f)
 		}
-	}
 
+		p := ws.buildBaseLP(in, fronts)
+		sol, err := ws.startLazy(p, fronts, snap)
+		cuts, rounds := 0, 0
+		if err == nil {
+			sol, cuts, rounds, err = ws.runCutLoop(p, fronts, sol, in.M)
+		}
+		if err == nil {
+			ws.lastLazyN = n
+			return ws.extractFractional(sol, fronts, cuts, rounds), nil
+		}
+		if snap == nil || errors.Is(err, lp.ErrCanceled) {
+			return nil, err
+		}
+		snap = nil // the warm start failed: restart cold under the same pin
+	}
+}
+
+// startLazy materialises the lazy loop's first cut rows into p and solves
+// it: a fitting snapshot's replayed cut log from its transplanted basis,
+// or, cold, the two endpoint supporting lines of every task — tying wbar_j
+// to the work function at both extremes of the domain, the steep end on
+// the last representative segment — from the crash basis.
+func (ws *Workspace) startLazy(p *lp.Problem, fronts []malleable.Frontier, snap *LPSnapshot) (*lp.Solution, error) {
 	// The LP is massively degenerate, so the solver runs cost-perturbed
 	// throughout the cut loop (intermediate solutions only steer cut
 	// selection) and the perturbation is polished away once, at the end.
 	ws.LP.DeferPolish = true
-	sol, err := p.SolveWith(&ws.LP)
+	var sol *lp.Solution
+	var err error
+	if snap != nil {
+		ws.replay(p, fronts, snap)
+		sol, err = p.SolveHotWith(&ws.LP, snap.Basis)
+	} else {
+		n := len(fronts)
+		for j := 0; j < n; j++ {
+			f := &fronts[j]
+			segs := f.Segments()
+			if segs < 1 {
+				continue
+			}
+			base := int(ws.segOff[j])
+			ws.logCut(p, f, j, 0, n)
+			for s := segs - 1; s > 0; s-- {
+				if ws.segRep[base+s] {
+					ws.logCut(p, f, j, s, n)
+					break
+				}
+			}
+		}
+		sol, err = p.SolveWith(&ws.LP)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("allot: LP (9) failed: %w", err)
 	}
-	sol, cuts, rounds, err := ws.runCutLoop(p, fronts, sol, in.M)
-	if err != nil {
-		return nil, err
-	}
-	ws.lastLazyN = n
-	return ws.extractFractional(sol, fronts, cuts, rounds), nil
+	return sol, nil
 }
 
 // buildBaseLP constructs the static part of LP (9) — variables, implicit
 // bounds, crash bounds, precedence/L/total-work rows — into the
 // workspace's reusable problem, resets the lazy-cut bookkeeping and the
-// cut replay log, and returns the problem ready for cut seeding
-// (SolveLPWith) or cut replay (SolveLPDeltaWith). The construction order
+// cut replay log, and returns the problem ready for the lazy loop's first
+// cut rows (startLazy: seeds, or a snapshot's replay). The construction order
 // is deterministic and depends only on the instance's structure — task
 // count, machine size and DAG shape — never on the processing-time
 // values, which is what makes row/column positions transplantable between
@@ -279,29 +341,16 @@ func (ws *Workspace) buildBaseLP(in *Instance, fronts []malleable.Frontier) *lp.
 	ws.segOff[n] = int32(totalSegs)
 	ws.segAdded = growBool(ws.segAdded, totalSegs)
 	ws.segRep = growBool(ws.segRep, totalSegs)
-	for i := range ws.segAdded {
-		ws.segAdded[i] = false
-	}
-	// Cut generation is restricted to slope-representative segments: on
-	// large machines adjacent frontier segments become nearly collinear,
-	// and two such supporting lines active at the same breakpoint form a
-	// 2x2 block with determinant ~ their slope gap — a numerically
-	// singular basis in the making. Chains of segments whose slopes agree
-	// to 1e-6 relative collapse onto their first member; the skipped
-	// lines sit below the representative's by at most the slope gap times
-	// the chain width, far inside the cut tolerance.
+	clear(ws.segAdded)
+	clear(ws.segRep)
+	// Cut generation is restricted to slope-representative segments
+	// (eachRep): on large machines adjacent frontier segments become
+	// nearly collinear, and two such supporting lines active at the same
+	// breakpoint form a 2x2 block with determinant ~ their slope gap — a
+	// numerically singular basis in the making.
 	for j := 0; j < n; j++ {
-		f := &fronts[j]
-		base := int(ws.segOff[j])
-		lastRep := math.Inf(-1)
-		for s := 0; s < f.Segments(); s++ {
-			slope, _ := lineCoefs(f, s)
-			rep := s == 0 || math.Abs(slope-lastRep) > 1e-6*(1+math.Abs(slope))
-			ws.segRep[base+s] = rep
-			if rep {
-				lastRep = slope
-			}
-		}
+		rep := ws.segRep[ws.segOff[j]:ws.segOff[j+1]]
+		eachRep(&fronts[j], func(s int, _, _ float64) { rep[s] = true })
 	}
 
 	// Crash bounds (applyCrashBounds): every completion is lower-bounded
@@ -388,8 +437,7 @@ func (ws *Workspace) logCut(p *lp.Problem, f *malleable.Frontier, j, s, n int) {
 // the iteration is monotone and terminates; the cap is a pure safety net.
 // Convergence is confirmed on the polished (exact) optimum: polishing can
 // move the solution to a vertex that violates lines the perturbed point
-// satisfied, so the loop re-checks and, if needed, keeps cutting. Shared
-// by the cold path (SolveLPWith) and the delta path (SolveLPDeltaWith).
+// satisfied, so the loop re-checks and, if needed, keeps cutting.
 func (ws *Workspace) runCutLoop(p *lp.Problem, fronts []malleable.Frontier, sol *lp.Solution, m int) (*lp.Solution, int, int, error) {
 	cuts, rounds := 0, 0
 	polished := false

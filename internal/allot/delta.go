@@ -1,10 +1,13 @@
 // Warm-starting phase 1 across instances: CaptureLP snapshots the solved
 // LP's basis together with the exact sequence of supporting-line rows the
-// lazy loop generated, and SolveLPDeltaWith replays that sequence on a
-// structurally identical instance with edited processing times, so the
-// simplex starts from the predecessor's optimal basis (lp.SolveHotWith)
-// instead of the crash basis. This is the serving layer's delta path: an
-// edited DAG re-solves in a handful of pivots instead of a cold solve.
+// lazy loop generated, and a solve started from that snapshot
+// (SolveLPFrom, SolveLPDeltaWith) replays the sequence on a structurally
+// identical instance with edited processing times, so the simplex starts
+// from the predecessor's optimal basis (lp.SolveHotWith) instead of the
+// crash basis. This is the serving layer's delta path: an edited DAG
+// re-solves in a handful of pivots instead of a cold solve. The snapshot
+// only moves the start; the cut loop and the optimum it reaches are the
+// cold solve's.
 //
 // Snapshots only exist for the lazy-cut formulation: the min-cut sweep
 // keeps no basis, so callers wanting a snapshot pin the lazy route
@@ -12,9 +15,8 @@
 package allot
 
 import (
-	"errors"
-
 	"malsched/internal/lp"
+	"malsched/internal/malleable"
 )
 
 // CutRef identifies one supporting-line row: segment Seg of task Task's
@@ -30,8 +32,8 @@ type CutRef struct {
 // captured and safe to share across goroutines; it is only meaningful for
 // instances whose structure (task count, machine size, DAG shape) matches
 // the instance it was captured from — the serving layer enforces that via
-// the structure fingerprint, and SolveLPDeltaWith degrades to a cold
-// solve on any residual mismatch.
+// the structure fingerprint, and a solve started from it degrades to a
+// cold solve on any residual mismatch.
 type LPSnapshot struct {
 	Basis  *lp.Basis
 	Cuts   []CutRef
@@ -40,10 +42,9 @@ type LPSnapshot struct {
 }
 
 // CaptureLP exports a warm-start snapshot of the last completed lazy-path
-// solve on ws (SolveLPWith on the lazy route, or SolveLPDeltaWith). It
-// returns nil when the workspace holds no transplantable state: the last
-// solve failed, took another route, or was for a different instance
-// shape than in.
+// solve on ws, cold or warm. It returns nil when the workspace holds no
+// transplantable state: the last solve failed, took another route, or
+// was for a different instance shape than in.
 //
 // The snapshot replays the full cut log, slack rows included. Slack rows
 // could be dropped without unbalancing the basis (one row, one basic
@@ -70,86 +71,45 @@ func (ws *Workspace) CaptureLP(in *Instance) *LPSnapshot {
 	return &LPSnapshot{Basis: bas, Cuts: cuts, NTasks: n, M: in.M}
 }
 
-// SolveLPDeltaWith solves LP (9) for in warm-starting from a snapshot
-// captured on a structurally identical instance: it rebuilds the static
-// model (whose layout depends only on structure), replays the snapshot's
-// supporting-line rows in their original order so every row position
-// matches the basis, transplants the basis via lp.SolveHotWith, and runs
-// the ordinary lazy cut loop from there — edited tasks whose work
-// variables now sit below their work functions get fresh cuts exactly as
-// in a cold solve. The result is an exact optimum of LP (9) for in, the
-// same LP the cold path solves; only the simplex's starting point
-// differs. Any mismatch between snapshot and instance, and any failure
-// of the warm solve but cancellation (a transplanted basis can turn
-// numerically singular on the edited values), degrades to a cold
-// SolveLPWith, never to an error a cold solve would not also produce.
+// SolveLPDeltaWith is SolveLPFrom on the auto route: it solves LP (9) for
+// in warm-started from a snapshot captured on a structurally identical
+// instance. The result is an exact optimum of LP (9) for in, the same LP
+// the cold path solves; only the simplex's starting point differs.
 func SolveLPDeltaWith(in *Instance, ws *Workspace, snap *LPSnapshot) (*Fractional, error) {
-	return SolveLPDeltaFormulation(in, ws, snap, "")
+	return SolveLPFrom(in, ws, "", snap)
 }
 
-// SolveLPDeltaFormulation is SolveLPDeltaWith under the formulation pin f,
-// which every cold fallback keeps: it solves SolveLPFormulation(in, ws, f)
-// wherever SolveLPDeltaWith solves the auto route. Only the lazy simplex
-// keeps a basis, so a mincut pin ignores snap, and any other name is
-// SolveLPFormulation's error.
-func SolveLPDeltaFormulation(in *Instance, ws *Workspace, snap *LPSnapshot, f Formulation) (*Fractional, error) {
-	if f != "" && f != FormulationLazy {
-		return SolveLPFormulation(in, ws, f)
-	}
-	if err := in.Validate(); err != nil {
-		return nil, err
-	}
-	if ws == nil {
-		ws = NewWorkspace()
-	}
+// fits reports whether snap can start the lazy solve of in: it was
+// captured on an instance with in's task count, machine size and
+// variable layout, and every logged cut names a task of in that still
+// has a supporting line, at a non-negative segment. A task whose
+// frontier an edit collapsed to a single point has no supporting lines
+// at all, and no row can stand in for its logged ones. A nil snap fits
+// nothing.
+func (snap *LPSnapshot) fits(in *Instance, fronts []malleable.Frontier) bool {
 	n := in.G.N()
 	if snap == nil || snap.Basis == nil || snap.NTasks != n || snap.M != in.M ||
 		snap.Basis.NVars != 3*n+2 {
-		return SolveLPFormulation(in, ws, f)
+		return false
 	}
-	fronts := ws.frontiers(in)
-	p := ws.buildBaseLP(in, fronts)
-
-	// Replay the snapshot's cut rows in capture order. Edited processing
-	// times can shrink a task's frontier, leaving a logged segment index
-	// out of range; clamping to the last segment keeps the row count — and
-	// with it every row position — aligned with the basis (the clamped
-	// line is still a valid supporting line, merely a possibly redundant
-	// one). A task whose frontier collapsed to a single point has no
-	// supporting lines at all; no row can stand in, so that edit falls
-	// back to the cold path.
 	for _, c := range snap.Cuts {
-		j := int(c.Task)
-		if j < 0 || j >= n {
-			return SolveLPFormulation(in, ws, f)
+		if c.Task < 0 || int(c.Task) >= n || c.Seg < 0 || fronts[c.Task].Segments() < 1 {
+			return false
 		}
-		front := &fronts[j]
-		segs := front.Segments()
-		if segs < 1 {
-			return SolveLPFormulation(in, ws, f)
-		}
-		s := int(c.Seg)
-		if s < 0 {
-			return SolveLPFormulation(in, ws, f)
-		}
-		if s >= segs {
-			s = segs - 1
-		}
-		ws.logCut(p, front, j, s, n)
 	}
+	return true
+}
 
-	ws.LP.DeferPolish = true
-	sol, err := p.SolveHotWith(&ws.LP, snap.Basis)
-	cuts, rounds := 0, 0
-	if err == nil {
-		sol, cuts, rounds, err = ws.runCutLoop(p, fronts, sol, in.M)
+// replay materialises a fitting snapshot's cut log into p in capture
+// order, so every row position matches the snapshot's basis. Edited
+// processing times can shrink a task's frontier, leaving a logged
+// segment index out of range; clamping to the last segment keeps the row
+// count, and with it every row position, aligned with the basis (the
+// clamped line is still a valid supporting line, merely a possibly
+// redundant one).
+func (ws *Workspace) replay(p *lp.Problem, fronts []malleable.Frontier, snap *LPSnapshot) {
+	for _, c := range snap.Cuts {
+		f := &fronts[c.Task]
+		ws.logCut(p, f, int(c.Task), min(int(c.Seg), f.Segments()-1), len(fronts))
 	}
-	if errors.Is(err, lp.ErrCanceled) {
-		return nil, err
-	}
-	if err != nil {
-		return SolveLPFormulation(in, ws, f)
-	}
-	ws.lastLazyN = n
-	return ws.extractFractional(sol, fronts, cuts, rounds), nil
 }

@@ -12,13 +12,13 @@
 // The network is the standard activity-on-arc expansion of the reduced
 // DAG: task j becomes arc in_j -> out_j with base duration XMax_j and a
 // crashing curve read off the same slope-representative work envelope
-// the lazy simplex optimises (repFill below — the 1e-6 slope collapse
-// makes every formulation solve the identical relaxation, which is what
-// the differential suite pins); precedence (i,j) becomes
-// the rigid zero-length arc out_i -> in_j, DAG sources hang off the
-// super-source S and sinks feed the super-sink T, mirroring row for row
-// how buildBaseLP emits x_j <= C_j only for sources and C_j <= L only
-// for sinks.
+// the lazy simplex optimises (repFill below, on allot.go's eachRep — the
+// one slope collapse makes every formulation solve the identical
+// relaxation, which is what the differential suite pins); precedence
+// (i,j) becomes the rigid zero-length arc out_i -> in_j, DAG sources hang
+// off the super-source S and sinks feed the super-sink T, mirroring row
+// for row how buildBaseLP emits x_j <= C_j only for sources and
+// C_j <= L only for sinks.
 //
 // The payoff over the simplex is structural on wide DAGs: a simplex
 // solve pays a pivot per envelope piece the optimum crosses against an
@@ -36,7 +36,6 @@ package allot
 
 import (
 	"fmt"
-	"math"
 
 	"malsched/internal/malleable"
 )
@@ -123,24 +122,18 @@ func solveLPMincut(in *Instance, ws *Workspace, fronts []malleable.Frontier) (*F
 
 // repFill computes f's downward envelope fill pieces into the shared
 // scratch: piece k carries the k-th shallowest slope-representative
-// supporting line (the collapse rule — 1e-6 relative slope agreement
-// folds a chain onto its first member — matches the lazy path's cut
-// filter), sigma_k = |slope| of that line, and repWidth[k] the piece's
-// x-extent below XMax, cut at the intersections of consecutive lines and
-// clamped into [XMin, XMax] so roundoff can never produce a negative
-// width. Returns the sigmas; widths are in ws.repWidth.
+// supporting line (eachRep, the lazy path's cut filter),
+// sigma_k = |slope| of that line, and repWidth[k] the piece's x-extent
+// below XMax, cut at the intersections of consecutive lines and clamped
+// into [XMin, XMax] so roundoff can never produce a negative width.
+// Returns the sigmas; widths are in ws.repWidth.
 func (ws *Workspace) repFill(f *malleable.Frontier) []float64 {
 	slopes := ws.repSlope[:0]
 	icpts := ws.repIcpt[:0]
-	lastRep := math.Inf(-1)
-	for s := 0; s < f.Segments(); s++ {
-		slope, icpt := lineCoefs(f, s)
-		if s == 0 || math.Abs(slope-lastRep) > 1e-6*(1+math.Abs(slope)) {
-			slopes = append(slopes, slope)
-			icpts = append(icpts, icpt)
-			lastRep = slope
-		}
-	}
+	eachRep(f, func(_ int, slope, icpt float64) {
+		slopes = append(slopes, slope)
+		icpts = append(icpts, icpt)
+	})
 	r := len(slopes)
 	widths := grown(ws.repWidth, r)
 	prev := f.XMax()

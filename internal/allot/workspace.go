@@ -26,8 +26,7 @@ type Workspace struct {
 
 	// Lazy-cut bookkeeping: segAdded[segOff[j]+s] marks segment s of task
 	// j as already materialised as a supporting-line row; segRep marks the
-	// slope-representative segments cuts may be generated from (see
-	// SolveLPWith on near-collinear segment chains).
+	// slope-representative segments cuts may be generated from (eachRep).
 	segOff   []int32
 	segAdded []bool
 	segRep   []bool
@@ -45,14 +44,14 @@ type Workspace struct {
 	lFloor, cFloor float64
 
 	// Cut replay log of the lazy path: every supporting-line row in append
-	// order (seeds first, then separation rounds). CaptureLP copies it
-	// into snapshots; SolveLPDeltaWith replays a snapshot's log to rebuild
-	// a basis-compatible row layout. lastLazyN is the task count of the
-	// last completed lazy-path solve (0 when the last solve took another
-	// route or failed), guarding capture against exporting a basis whose
-	// layout the log does not describe. totalSegs caches the summed
-	// frontier segment count of the last build for the cut loop's round
-	// cap.
+	// order (seeds or a snapshot's replay first, then separation rounds).
+	// CaptureLP copies it into snapshots; a warm start replays a
+	// snapshot's log to rebuild a basis-compatible row layout. lastLazyN
+	// is the task count of the last completed lazy-path solve (0 when the
+	// last solve took another route or failed), guarding capture against
+	// exporting a basis whose layout the log does not describe. totalSegs
+	// caches the summed frontier segment count of the last build for the
+	// cut loop's round cap.
 	cutLog    []sepPick
 	lastLazyN int
 	totalSegs int

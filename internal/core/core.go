@@ -49,15 +49,15 @@ type Options struct {
 	// Formulation to lazy to make capture unconditional.
 	CaptureLP bool
 	// Formulation pins the phase-1 LP formulation (lazy or mincut);
-	// empty lets the router pick by instance shape, and
-	// allot.SolveLPFormulation rejects any other name.
+	// empty lets the router pick by instance shape, and allot.SolveLPFrom
+	// rejects any other name.
 	Formulation allot.Formulation
-	// WarmLP warm-starts phase 1 from a snapshot captured on an instance
-	// with the same structure (task count, DAG shape, machine count) —
-	// the serving layer's delta path. Mismatched snapshots degrade to a
-	// cold solve under the same pin; the result is an exact LP optimum
-	// either way. A mincut pin ignores it, since the sweep has no basis to
-	// start from.
+	// WarmLP starts phase 1 from a snapshot captured on an instance with
+	// the same structure (task count, DAG shape, machine count) — the
+	// serving layer's delta path; nil starts cold. Mismatched snapshots
+	// degrade to a cold solve under the same pin; the result is an exact
+	// LP optimum either way. A mincut pin ignores it, since the sweep has
+	// no basis to start from.
 	WarmLP *allot.LPSnapshot
 }
 
@@ -123,29 +123,20 @@ func SolveWith(in *allot.Instance, opt Options, ws *solver.Workspace) (*Result, 
 	// original graph.
 	red := ws.Reduce(in)
 
-	// The frontier cache in ws is shared by SolveLPFormulation and
-	// RoundWith; release it on exit so a pooled workspace does not pin
-	// the instance.
+	// The frontier cache in ws is shared by SolveLPFrom and RoundWith;
+	// release it on exit so a pooled workspace does not pin the instance.
 	defer ws.Release()
 	lpws := ws.LP()
 	if lpws == nil && opt.CaptureLP {
 		lpws = allot.NewWorkspace() // capture needs a handle on the solve's state
 	}
-	var frac *allot.Fractional
-	var err error
-	if opt.WarmLP != nil {
-		frac, err = allot.SolveLPDeltaFormulation(red, lpws, opt.WarmLP, opt.Formulation)
-	} else {
-		frac, err = allot.SolveLPFormulation(red, lpws, opt.Formulation)
-	}
+	frac, err := allot.SolveLPFrom(red, lpws, opt.Formulation, opt.WarmLP)
 	if err != nil {
 		return nil, err
 	}
 	var snap *allot.LPSnapshot
-	if opt.CaptureLP && frac.Formulation == allot.FormulationLazy {
-		// Only the lazy route leaves a transplantable basis + cut log in
-		// the workspace; after the sweep the capture state is stale.
-		snap = lpws.CaptureLP(red)
+	if opt.CaptureLP {
+		snap = lpws.CaptureLP(red) // nil off the lazy route
 	}
 	alphaPrime := allot.RoundWith(red, frac, choice.Rho, lpws)
 	res, err := finish(in, red, listsched.CapAllotment(alphaPrime, choice.Mu), ws)

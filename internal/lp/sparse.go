@@ -419,24 +419,16 @@ func (ws *Workspace) startBasis(p *Problem) {
 	ws.xval = grow(ws.xval, ncols)
 	ws.status = grow(ws.status, ncols)
 	ws.basis = grow(ws.basis, m)
+	ws.setBounds(p, 0)
 	for j := 0; j < n; j++ {
-		ws.lo[j] = p.lo[j] / ws.colScale[j]
-		ws.hi[j] = p.hi[j] / ws.colScale[j]
 		ws.xval[j] = ws.lo[j]
 		ws.status[j] = nbLower
 	}
 	for i := 0; i < m; i++ {
 		s := n + i
-		switch p.cons[i].sense {
-		case LE:
-			ws.lo[s], ws.hi[s] = 0, math.Inf(1)
-			ws.status[s] = nbLower
-		case GE:
-			ws.lo[s], ws.hi[s] = math.Inf(-1), 0
+		ws.status[s] = nbLower // logicals start at 0, a GE row's upper bound
+		if p.cons[i].sense == GE {
 			ws.status[s] = nbUpper
-		case EQ:
-			ws.lo[s], ws.hi[s] = 0, 0
-			ws.status[s] = nbLower
 		}
 		ws.xval[s] = 0
 	}
@@ -454,6 +446,30 @@ func (ws *Workspace) startBasis(p *Problem) {
 			ws.basis[i] = int32(s)
 			ws.status[s] = stBasic
 			ws.xval[s] = ws.rhsd[i]
+		}
+	}
+}
+
+// setBounds installs the column bounds of p's scaled model: every
+// structural's SetBounds pair under the current column scales, and, for
+// the rows from `from` on, each logical's sign range by its row's sense
+// (LE: [0, +Inf), GE: (-Inf, 0], EQ: [0, 0]). Earlier rows' logicals keep
+// theirs.
+func (ws *Workspace) setBounds(p *Problem, from int) {
+	n := ws.nstruct
+	for j := 0; j < n; j++ {
+		ws.lo[j] = p.lo[j] / ws.colScale[j]
+		ws.hi[j] = p.hi[j] / ws.colScale[j]
+	}
+	for i := from; i < ws.nrows; i++ {
+		s := n + i
+		switch p.cons[i].sense {
+		case LE:
+			ws.lo[s], ws.hi[s] = 0, math.Inf(1)
+		case GE:
+			ws.lo[s], ws.hi[s] = math.Inf(-1), 0
+		case EQ:
+			ws.lo[s], ws.hi[s] = 0, 0
 		}
 	}
 }
@@ -1782,23 +1798,12 @@ func (p *Problem) ReSolveWith(ws *Workspace) (*Solution, error) {
 	ws.xval = extend(ws.xval, ncols)
 	ws.status = extend(ws.status, ncols)
 	ws.basis = extend(ws.basis, m)
-	for j := 0; j < n; j++ { // structural bounds are unchanged by contract
-		ws.lo[j] = p.lo[j] / ws.colScale[j]
-		ws.hi[j] = p.hi[j] / ws.colScale[j]
-	}
+	ws.setBounds(p, oldRows) // structurals unchanged by contract but rescaled
 	ws.setPhase2Cost(p)
 	// Each appended row's logical enters the basis at the row's current
 	// activity residual; bound violations there are the dual's work list.
 	for i := oldRows; i < m; i++ {
 		s := n + i
-		switch p.cons[i].sense {
-		case LE:
-			ws.lo[s], ws.hi[s] = 0, math.Inf(1)
-		case GE:
-			ws.lo[s], ws.hi[s] = math.Inf(-1), 0
-		case EQ:
-			ws.lo[s], ws.hi[s] = 0, 0
-		}
 		resid := ws.b[i] // already row-scaled
 		for _, t := range p.cons[i].terms {
 			resid -= ws.rowScale[i] * t.Coef * ws.colScale[t.Var] * ws.xval[t.Var]

@@ -113,21 +113,7 @@ func (p *Problem) SolveHotWith(ws *Workspace, bas *Basis) (*Solution, error) {
 	ws.xval = grow(ws.xval, ncols)
 	ws.status = grow(ws.status, ncols)
 	ws.basis = grow(ws.basis, m)
-	for j := 0; j < n; j++ {
-		ws.lo[j] = p.lo[j] / ws.colScale[j]
-		ws.hi[j] = p.hi[j] / ws.colScale[j]
-	}
-	for i := 0; i < m; i++ {
-		s := n + i
-		switch p.cons[i].sense {
-		case LE:
-			ws.lo[s], ws.hi[s] = 0, math.Inf(1)
-		case GE:
-			ws.lo[s], ws.hi[s] = math.Inf(-1), 0
-		case EQ:
-			ws.lo[s], ws.hi[s] = 0, 0
-		}
-	}
+	ws.setBounds(p, 0)
 	// Transplant the statuses. Nonbasic columns rest on a finite bound;
 	// where the snapshot's resting side is infinite under p's bounds (a
 	// bound became infinite, or row senses differ from the origin), snap

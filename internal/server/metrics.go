@@ -94,7 +94,6 @@ func (fm *formulationMetrics) snapshot() map[string]formulationStats {
 // the per-formulation section, and every flat expvar counter of the
 // version-1 shape as deprecated top-level aliases.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.cacheEntries.Set(int64(s.cache.len()))
 	var b []byte
 	b = append(b, fmt.Sprintf(`{"schema_version": %d`, metricsSchemaVersion)...)
 	if fj, err := json.Marshal(s.forms.snapshot()); err == nil {

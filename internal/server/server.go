@@ -48,9 +48,6 @@ type Config struct {
 	// CacheEntries bounds the resident solution cache; 0 means the default
 	// (4096), negative disables caching entirely.
 	CacheEntries int
-	// CacheShards spreads the cache over independently locked shards;
-	// <= 0 means the default (16).
-	CacheShards int
 	// MaxJobs bounds async jobs on both ends: at most this many in flight
 	// (further submissions get 503) and at most this many finished jobs
 	// queryable; <= 0 means the default (1024).
@@ -69,10 +66,12 @@ type Config struct {
 
 const (
 	defaultCacheEntries = 4096
-	defaultCacheShards  = 16
 	defaultMaxJobs      = 1024
 	defaultMaxBody      = 256 << 20
 	defaultMaxPending   = 1024
+
+	// cacheShards spreads the cache over independently locked shards.
+	cacheShards = 16
 
 	// statusClientClosedRequest is nginx's non-standard code for "the
 	// client went away before the response": the right label for a solve
@@ -104,8 +103,7 @@ type Server struct {
 	// green: the process is alive, just not accepting).
 	draining atomic.Bool
 
-	stats        *expvar.Map
-	cacheEntries expvar.Int // sampled into stats on /metrics
+	stats *expvar.Map
 	// forms aggregates per-formulation phase-1 effort for the /metrics
 	// "formulations" section (see metrics.go).
 	forms formulationMetrics
@@ -113,12 +111,9 @@ type Server struct {
 
 // New starts a server (and its solver pool) with the given configuration.
 func New(cfg Config) *Server {
-	entries, shards := cfg.CacheEntries, cfg.CacheShards
+	entries := cfg.CacheEntries
 	if entries == 0 {
 		entries = defaultCacheEntries
-	}
-	if shards <= 0 {
-		shards = defaultCacheShards
 	}
 	maxJobs := cfg.MaxJobs
 	if maxJobs <= 0 {
@@ -142,9 +137,9 @@ func New(cfg Config) *Server {
 		stats:   new(expvar.Map).Init(),
 	}
 	if entries > 0 {
-		s.cache = newCache(entries, shards)
+		s.cache = newCache(entries, cacheShards)
 	}
-	s.stats.Set("cache_entries", &s.cacheEntries)
+	s.stats.Set("cache_entries", expvar.Func(func() any { return s.cache.len() }))
 	s.mux.HandleFunc("POST /v1/solve", s.handleSolve)
 	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleJobSubmit)

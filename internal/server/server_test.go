@@ -664,6 +664,21 @@ func TestMetricsCounters(t *testing.T) {
 	}
 }
 
+// TestStatsCacheEntriesLive: Stats(), which malschedd publishes at
+// /debug/vars, reports the cache's size without a /metrics scrape (it
+// read 0 until one).
+func TestStatsCacheEntriesLive(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Instance: loadTestdata(t, "chain_n10_m4.json")})
+	var stats map[string]any
+	if err := json.Unmarshal([]byte(srv.Stats().String()), &stats); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := stats["cache_entries"], float64(srv.cache.len()); got != want || want == 0 {
+		t.Errorf("Stats cache_entries = %v, cache holds %v entries", got, want)
+	}
+}
+
 // TestSolveDeadlineValidation: non-finite or negative deadline_ms must be
 // rejected with 400 — time.Duration(NaN * float64(time.Millisecond)) is an
 // undefined float->int conversion, and negatives would silently mean

@@ -336,7 +336,15 @@ func (s *Server) serve(ctx context.Context, req *SolveRequestV2, legacy bool) (*
 			return nil, err
 		}
 		if !legacy && useCache {
-			s.cache.putIfBetter(qkey, sol)
+			key := qkey
+			if sol.algo == malsched.AlgoLTW {
+				// LTW ignores rho, mu and the pin but is tier paper: in
+				// the slot of overrides it never applied, it would answer
+				// every routed request naming them, and no paper answer
+				// could replace it.
+				key = qualityKey(fp, &SolveRequestV2{})
+			}
+			s.cache.putIfBetter(key, sol)
 		}
 	} else {
 		s.stats.Add("cache_hit", 1)

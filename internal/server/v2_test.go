@@ -382,6 +382,43 @@ func TestV2SolutionsProbe(t *testing.T) {
 	}
 }
 
+// TestV2LTWAnswerLeavesParameterSlots: LTW ignores rho, mu and the
+// formulation pin but is tier paper. Filed under the slot of its
+// request's overrides, an LTW answer answered every later routed request
+// naming them (algo ltw, formulation lazy), and no paper answer could
+// replace it. It belongs to the parameter-free slot.
+func TestV2LTWAnswerLeavesParameterSlots(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	in := loadTestdata(t, "chain_n10_m4.json")
+	rho := 0.3
+
+	_, data := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Instance: in, Algo: "ltw", Rho: &rho, Formulation: "mincut"})
+	ltw := decodeSolveV2(t, data)
+	if ltw.Algo != "ltw" || ltw.Tier != "paper" {
+		t.Fatalf("ltw solve: algo %q tier %q", ltw.Algo, ltw.Tier)
+	}
+	slot := ts.URL + "/v2/solutions/" + ltw.Fingerprint
+	if resp, data := httpGet(t, slot+"?rho=0.3&formulation=mincut"); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("overrides slot after an ltw solve: status %d (%s), want 404", resp.StatusCode, data)
+	}
+	resp, data := httpGet(t, slot)
+	var p SolutionProbe
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(data, &p) != nil || p.Algo != "ltw" {
+		t.Errorf("parameter-free slot: status %d, %s; want the ltw answer", resp.StatusCode, data)
+	}
+
+	_, data = postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Instance: in, Rho: &rho, Formulation: "mincut"})
+	routed := decodeSolveV2(t, data)
+	if routed.Cache == "hit" || routed.Algo != "paper" || routed.Formulation != "mincut" {
+		t.Errorf("routed request with the same overrides: cache %q algo %q formulation %q; want a paper solve on mincut",
+			routed.Cache, routed.Algo, routed.Formulation)
+	}
+	resp, data = httpGet(t, slot+"?rho=0.3&formulation=mincut")
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(data, &p) != nil || p.Algo != "paper" || p.Formulation != "mincut" {
+		t.Errorf("overrides slot after the routed solve: status %d, %s; want the paper answer", resp.StatusCode, data)
+	}
+}
+
 func TestV2JobsLifecycle(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	in := loadTestdata(t, "erdos_n12_m4.json")

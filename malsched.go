@@ -89,10 +89,13 @@ func RandomTask(name string, p1 float64, m int, rng *rand.Rand) Task {
 	return malleable.RandomConcave(name, p1, m, rng)
 }
 
-// graph converts the edge list into the internal DAG. The edge list is
-// deduplicated up front (internal/prep): AddEdge tolerates duplicates
-// but pays a successor scan per insert, so canonicalising first keeps
-// dense lists O(E log E) instead of O(E·deg).
+// graph converts the edge list into the internal DAG. The list is
+// canonicalised first (prep.DedupEdges: sorted, duplicates dropped), the
+// same canonical form Fingerprint hashes, so instances that differ only
+// in edge order or duplicates build the same DAG, successor order
+// included, and get the same answer. It does not make the build cheaper:
+// AddEdge still scans the successor list on every insert, O(E·deg) in
+// all.
 func (in *Instance) graph() (*dag.DAG, error) {
 	g := dag.New(len(in.Tasks))
 	for _, e := range prep.DedupEdges(in.Edges) {
@@ -164,11 +167,11 @@ type Result struct {
 }
 
 // solveConfig collects what the options configure: the core algorithm
-// options plus the warm-start plumbing the public layer owns.
+// options plus the warm start, which the public layer checks against the
+// instance's structure fingerprint before core sees it.
 type solveConfig struct {
-	core    core.Options
-	capture bool
-	warm    *SolverState
+	core core.Options
+	warm *SolverState
 }
 
 // Formulation names a phase-1 LP formulation: the lazy-cut sparse
@@ -236,7 +239,6 @@ func solveWith(in *Instance, ws *solver.Workspace, opts []Option) (*Result, erro
 	for _, f := range opts {
 		f(&o)
 	}
-	o.core.CaptureLP = o.capture
 	if o.warm != nil && o.warm.snap != nil && o.warm.structFP == in.StructureFingerprint() {
 		o.core.WarmLP = o.warm.snap
 	}

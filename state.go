@@ -36,7 +36,7 @@ func (st *SolverState) StructureFingerprint() string {
 // pinned, returns no state. Pin WithFormulation(FormulationLazy) to make
 // capture unconditional.
 func WithCapture() Option {
-	return func(o *solveConfig) { o.capture = true }
+	return func(o *solveConfig) { o.core.CaptureLP = true }
 }
 
 // WithWarmStart seeds the phase-1 LP from a previously captured state.
