@@ -203,13 +203,21 @@ func BenchmarkPhase1LP(b *testing.B) {
 			ws := solver.NewWorkspace()
 			b.ReportAllocs()
 			b.ResetTimer()
+			var frac *allot.Fractional
 			for i := 0; i < b.N; i++ {
 				// Exactly the production phase-1 path (core.SolveWith):
 				// preprocess, then solve the LP on the reduced instance.
 				red := ws.Reduce(in)
-				if _, err := allot.SolveLPFormulation(red, ws.LP(), sc.force); err != nil {
+				var err error
+				if frac, err = allot.SolveLPFormulation(red, ws.LP(), sc.force); err != nil {
 					b.Fatal(err)
 				}
+			}
+			// The sweep's effort is deterministic per instance: a change in
+			// either count is a change in the events, not in their cost.
+			if frac.Formulation == allot.FormulationMincut {
+				b.ReportMetric(float64(frac.Cuts), "breakpoints/op")
+				b.ReportMetric(float64(frac.Rounds), "augments/op")
 			}
 		})
 	}

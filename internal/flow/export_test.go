@@ -2,9 +2,10 @@ package flow
 
 import "fmt"
 
-// WatchRepairs installs fn to run after every R-tree repair of any sweep
-// and returns a function that removes it again.
-func WatchRepairs(fn func(ws *Workspace)) (restore func()) {
+// WatchRepairs installs fn to run after every change of any sweep's R
+// tree — a failed sink search's region joining (joined) or a repair
+// after an augmentation — and returns a function that removes it again.
+func WatchRepairs(fn func(ws *Workspace, joined bool)) (restore func()) {
 	afterRepair = fn
 	return func() { afterRepair = nil }
 }

@@ -32,10 +32,15 @@
 // lambda at which they were last materialised). Popping an event either
 // re-arms the arc on its next piece, or opens residual capacity, in
 // which case flow augments straight through the opened arc — source
-// tree, the arc, a sink-side search beyond it — until it re-saturates;
-// only when no augmenting path remains beyond the arc does the far
-// component join the source side R by an incremental search that
-// extends the cut in place. The crossing of
+// tree, the arc, a sink-side search beyond it — until it re-saturates.
+// Only when that search fails does the cut move: the nodes it reached
+// are exactly the component now reachable from the source side R, so
+// they join R as found, under the search's own parent pointers, and only
+// the arcs it saw leaving them are re-filed. An augmentation repairs the
+// R tree by orphan adoption, and evicting the orphans that stay
+// unreachable re-files only the arcs the adoption scans saw between them
+// and the rest of the network, so each cut move costs one scan of the
+// nodes it moves. The crossing of
 // m*lambda with phi is itself just the final event. An augmenting path
 // of infinite bottleneck proves no finite cut remains: lambda has hit
 // the fully-crashed critical-path length and cannot decrease further.
@@ -69,9 +74,10 @@ var errChain = fmt.Errorf("%w: source-side tree chain does not reach the source"
 // (see internal/faultinject).
 var FaultSweep func() bool
 
-// afterRepair, when set by a test, runs after every R-tree repair
-// (processOrphans) so the tree invariants can be audited mid-sweep.
-var afterRepair func(ws *Workspace)
+// afterRepair, when set by a test, runs after every change of the R
+// tree — a region joining (joined) and a repair after an augmentation
+// (processOrphans) — so the tree invariants can be audited mid-sweep.
+var afterRepair func(ws *Workspace, joined bool)
 
 // Event kinds: a cut arc hitting a piece boundary of its crashing curve
 // (forward = crashing, backward = un-crashing), and a slack arc from
@@ -154,15 +160,14 @@ type Workspace struct {
 	// source-side node was reached through, and firstKid/nextSib/prevSib
 	// its children, so a flow change can detach and repair exactly the
 	// subtrees below saturated arcs instead of recomputing R by a graph
-	// search. orph stamps the subtrees detached in the current repair
-	// round (orphEpoch).
+	// search. orph[v] is orphEpoch while v is an orphan of the current
+	// repair round and -orphEpoch once it is adopted back.
 	firstKid  []int32
 	nextSib   []int32
 	prevSib   []int32
 	orph      []int32
 	orphEpoch int32
 	orphList  []int32
-	orphNodes []int32
 
 	// Sink-side search scratch (reopen): sPar records the residual
 	// tight arc each sink-side node was reached through, sSeen marks
@@ -171,6 +176,13 @@ type Workspace struct {
 	sSeen  []int32
 	sEpoch int32
 	dstack []int32
+
+	// A cut move's scratch: region lists the nodes the last scan may
+	// move — those a sink search reached, or a repair's orphans — and
+	// border the arcs it saw between them and the rest of the network,
+	// so the move re-files those arcs and no others.
+	region []int32
+	border []int32
 
 	lam, lamMat float64
 	phi, muv    float64
@@ -762,21 +774,7 @@ func (ws *Workspace) rebuildFull() (done bool, err error) {
 	}
 	ws.heap = ws.heap[:0]
 	for a := int32(0); int(a) < len(ws.tail); a++ {
-		iu, iv := ws.inRf(ws.tail[a]), ws.inRf(ws.head[a])
-		if iu == iv {
-			continue
-		}
-		slack := ws.t[ws.head[a]] - ws.t[ws.tail[a]] - ws.dur(a)
-		if iu {
-			if slack > ws.tightEps {
-				ws.arcStamp[a]++
-				ws.push(event{ws.lam - slack, a, ws.arcStamp[a], evSlack})
-			} else {
-				ws.enterCut(a, +1)
-			}
-		} else if slack <= ws.tightEps && ws.hasFlow(a) {
-			ws.enterCut(a, -1)
-		}
+		ws.classify(a)
 	}
 	for v := int32(0); int(v) < ws.nodes; v++ {
 		ws.firstKid[v] = -1
@@ -789,66 +787,11 @@ func (ws *Workspace) rebuildFull() (done bool, err error) {
 	return false, nil
 }
 
-// resolveIncremental restores a max flow and the exact min cut after
-// grow reached the sink: the R-tree parent chain of the sink is already
-// an augmenting path (tree arcs lie inside R, where potentials, crash
-// amounts and flows are all frozen between re-solves, so the chain is
-// still tight and residual). Augmenting can only shrink reachability —
-// the reverse residuals it opens lie on the chain, inside R — so the
-// repair detaches the subtrees below saturated chain arcs, re-adopts
-// what is still reachable, and evicts the rest, reclassifying only the
-// arcs around evicted nodes. The sweep's cost per flow change is the
-// size of the disturbed region, not the graph.
-func (ws *Workspace) resolveIncremental() (done bool, err error) {
-	for ws.inRf(int32(ws.snk)) {
-		bott := math.Inf(1)
-		for v, k := int32(ws.snk), 0; int(v) != ws.src; v, k = ws.pnode(v), k+1 {
-			enc := ws.parent[v]
-			if enc < 0 || k >= ws.nodes {
-				return false, errChain
-			}
-			if r := ws.residual(enc>>1, enc&1 == 0); r < bott {
-				bott = r
-			}
-		}
-		if math.IsInf(bott, 1) {
-			return true, nil
-		}
-		roots := ws.orphList[:0]
-		for v, k := int32(ws.snk), 0; int(v) != ws.src; v, k = ws.pnode(v), k+1 {
-			enc := ws.parent[v]
-			if enc < 0 || k >= ws.nodes {
-				return false, errChain
-			}
-			a := enc >> 1
-			if enc&1 == 0 {
-				ws.f[a] += bott
-				if !ws.fwdOpen(a) {
-					roots = append(roots, v)
-				}
-			} else {
-				ws.f[a] -= bott
-				if ws.f[a] < 0 {
-					ws.f[a] = 0
-				}
-				if !ws.bwdOpen(a) {
-					roots = append(roots, v)
-				}
-			}
-		}
-		ws.orphList = roots
-		ws.muv += bott
-		ws.Augments++
-		if ws.augBudget--; ws.augBudget < 0 {
-			return false, fmt.Errorf("%w: augmentation budget exceeded", ErrStalled)
-		}
-		ws.processOrphans(roots)
-	}
-	return false, nil
-}
-
 // tryAdopt scans orphan v's neighbourhood for a residual tight arc from
-// a still-rooted source-side node and reattaches v under it.
+// a still-rooted source-side node and reattaches v under it. Every arc it
+// rejects towards a node that is no orphan of this repair goes on the
+// border, unless that node was adopted back: the pull-back search scans
+// the adopted nodes' arcs and records those.
 func (ws *Workspace) tryAdopt(v int32) bool {
 	ep := ws.orphEpoch
 	for e := ws.adjOff[v]; e < ws.adjOff[v+1]; e++ {
@@ -860,14 +803,13 @@ func (ws *Workspace) tryAdopt(v int32) bool {
 		} else { // v is the tail: backward residual from the head
 			u = ws.head[a]
 		}
-		if ws.orph[u] == ep || !ws.inRf(u) || !ws.tight(a) {
+		if ws.orph[u] == ep {
 			continue
 		}
-		if enc&1 != 0 {
-			if !ws.fwdOpen(a) {
-				continue
+		if !ws.inRf(u) || !ws.tight(a) || (enc&1 != 0 && !ws.fwdOpen(a)) || (enc&1 == 0 && !ws.bwdOpen(a)) {
+			if ws.orph[u] != -ep {
+				ws.border = append(ws.border, a)
 			}
-		} else if !ws.bwdOpen(a) {
 			continue
 		}
 		if ws.parent[v] >= 0 { // a detached root is in no child list
@@ -879,7 +821,7 @@ func (ws *Workspace) tryAdopt(v int32) bool {
 			ws.parent[v] = a<<1 | 1
 		}
 		ws.linkChild(u, v)
-		ws.orph[v] = ep - 1
+		ws.orph[v] = -ep
 		return true
 	}
 	return false
@@ -889,14 +831,19 @@ func (ws *Workspace) tryAdopt(v int32) bool {
 // parent arcs of roots: detach their subtrees, re-adopt every orphan
 // that still has a residual tight arc from the rooted side (adoptions
 // seed a frontier search that can pull whole subtrees back), then evict
-// the rest from R and reclassify the cut arcs they expose. A detached
-// root's parent is cleared with the unlink: its sibling links go stale
-// at once, and unlinking it a second time through them (on adoption)
-// would cut live children out of the old parent's list.
+// the rest from R. The adoption scans record every arc between an orphan
+// and the rest of the network once (tryAdopt those towards nodes that
+// were never orphans, the pull-back search those towards orphans it
+// leaves), and the eviction re-files exactly the recorded arcs that end
+// at an evicted node: an arc between two evicted nodes stays inside the
+// sink side, one between two rooted nodes inside R. A detached root's
+// parent is cleared with the unlink: its sibling links go stale at once,
+// and unlinking it a second time through them (on adoption) would cut
+// live children out of the old parent's list.
 func (ws *Workspace) processOrphans(roots []int32) {
 	ws.orphEpoch++
 	ep := ws.orphEpoch
-	nodes := ws.orphNodes[:0]
+	nodes := ws.region[:0]
 	for _, r := range roots {
 		if ws.orph[r] == ep {
 			continue // already inside an earlier root's subtree
@@ -912,8 +859,9 @@ func (ws *Workspace) processOrphans(roots []int32) {
 			}
 		}
 	}
-	ws.orphNodes = nodes
+	ws.region = nodes
 
+	ws.border = ws.border[:0]
 	q := ws.queue[:0]
 	for _, v := range nodes {
 		if ws.orph[v] == ep && ws.tryAdopt(v) {
@@ -931,14 +879,11 @@ func (ws *Workspace) processOrphans(roots []int32) {
 			} else { // u is the head: backward residual towards the tail
 				w = ws.tail[a]
 			}
-			if ws.orph[w] != ep || !ws.tight(a) {
+			if ws.orph[w] != ep {
 				continue
 			}
-			if enc&1 == 0 {
-				if !ws.fwdOpen(a) {
-					continue
-				}
-			} else if !ws.bwdOpen(a) {
+			if !ws.tight(a) || (enc&1 == 0 && !ws.fwdOpen(a)) || (enc&1 != 0 && !ws.bwdOpen(a)) {
+				ws.border = append(ws.border, a)
 				continue
 			}
 			if ws.parent[w] >= 0 {
@@ -950,7 +895,7 @@ func (ws *Workspace) processOrphans(roots []int32) {
 				ws.parent[w] = a<<1 | 1
 			}
 			ws.linkChild(u, w)
-			ws.orph[w] = ep - 1
+			ws.orph[w] = -ep
 			q = append(q, w)
 		}
 	}
@@ -970,35 +915,39 @@ func (ws *Workspace) processOrphans(roots []int32) {
 		ws.firstKid[v] = -1
 		ws.t[v] += ws.lamMat - ws.lam
 	}
-	for _, v := range nodes {
-		if ws.orph[v] != ep {
-			continue
-		}
-		for e := ws.adjOff[v]; e < ws.adjOff[v+1]; e++ {
-			a := ws.adjArc[e] >> 1
-			if ws.cutDir[a] != 0 {
-				ws.matArc(a)
-			} else if ws.heapPos[a] >= 0 {
-				ws.arcStamp[a]++
-			}
-			iu, iv := ws.inRf(ws.tail[a]), ws.inRf(ws.head[a])
-			if iu == iv {
-				continue
-			}
-			slack := ws.realT(ws.head[a]) - ws.realT(ws.tail[a]) - ws.dur(a)
-			if iu {
-				if slack > ws.tightEps {
-					ws.push(event{ws.lam - slack, a, ws.arcStamp[a], evSlack})
-				} else {
-					ws.enterCut(a, +1)
-				}
-			} else if slack <= ws.tightEps && ws.hasFlow(a) {
-				ws.enterCut(a, -1)
-			}
+	for _, a := range ws.border {
+		if ws.orph[ws.tail[a]] == ep || ws.orph[ws.head[a]] == ep {
+			ws.classify(a)
 		}
 	}
 	if afterRepair != nil {
-		afterRepair(ws)
+		afterRepair(ws, false)
+	}
+}
+
+// classify re-files arc a after one of its endpoints changed sides:
+// a lazy crash amount is materialised and a pending event dropped, and
+// an arc that now crosses the cut goes back on it (tight) or waits for
+// its slack event (a forward arc out of R that is not tight yet).
+func (ws *Workspace) classify(a int32) {
+	if ws.cutDir[a] != 0 {
+		ws.matArc(a)
+	} else if ws.heapPos[a] >= 0 {
+		ws.arcStamp[a]++
+	}
+	iu, iv := ws.inRf(ws.tail[a]), ws.inRf(ws.head[a])
+	if iu == iv {
+		return
+	}
+	slack := ws.realT(ws.head[a]) - ws.realT(ws.tail[a]) - ws.dur(a)
+	if iu {
+		if slack > ws.tightEps {
+			ws.push(event{ws.lam - slack, a, ws.arcStamp[a], evSlack})
+		} else {
+			ws.enterCut(a, +1)
+		}
+	} else if slack <= ws.tightEps && ws.hasFlow(a) {
+		ws.enterCut(a, -1)
 	}
 }
 
@@ -1006,13 +955,16 @@ func (ws *Workspace) processOrphans(roots []int32) {
 // strictly outside R. Paths that re-enter R are dead ends — R is closed
 // under residual reachability, so nothing inside it leads to the sink —
 // and sink-side potentials all sit on the same falling clock, so raw t
-// comparisons are consistent throughout.
+// comparisons are consistent throughout. It lists the nodes it reaches
+// in region and every arc it declines — into R, slack, or saturated —
+// on the border, which is what joinRegion needs when the search fails.
 func (ws *Workspace) sinkSearch(start int32) bool {
 	ws.sEpoch++
 	ep := ws.sEpoch
 	ws.sSeen[start] = ep
-	st := ws.dstack[:0]
-	st = append(st, start)
+	reached := append(ws.region[:0], start)
+	border := ws.border[:0]
+	st := append(ws.dstack[:0], start)
 	for len(st) > 0 {
 		x := st[len(st)-1]
 		st = st[:len(st)-1]
@@ -1030,37 +982,58 @@ func (ws *Workspace) sinkSearch(start int32) bool {
 				w = ws.tail[a]
 				slack = tx - ws.t[w] - ws.dur(a)
 			}
-			if ws.sSeen[w] == ep || ws.inRf(w) || slack > ws.tightEps {
+			if ws.sSeen[w] == ep {
 				continue
 			}
-			if fwd {
-				if !ws.fwdOpen(a) {
-					continue
-				}
-			} else if !ws.bwdOpen(a) {
+			if ws.inRf(w) || slack > ws.tightEps || (fwd && !ws.fwdOpen(a)) || (!fwd && !ws.bwdOpen(a)) {
+				border = append(border, a)
 				continue
 			}
 			ws.sSeen[w] = ep
 			ws.sPar[w] = enc
 			if int(w) == ws.snk {
-				ws.dstack = st
+				ws.region, ws.border, ws.dstack = reached, border, st
 				return true
 			}
+			reached = append(reached, w)
 			st = append(st, w)
 		}
 	}
-	ws.dstack = st
+	ws.region, ws.border, ws.dstack = reached, border, st
 	return false
+}
+
+// joinRegion moves the region of a failed sinkSearch onto the source
+// side. The search's visited set is closed under residual reachability
+// outside R and does not hold the sink, so it is exactly the component
+// that the opened arc (enc, into the search's start) connects to R.
+// Each node hangs under the arc the search reached it by. The arcs the
+// search saw leaving the region are re-filed: those into the old R
+// leave the cut, and those towards the sink side go on it or arm their
+// slack event.
+func (ws *Workspace) joinRegion(enc int32) {
+	ws.sPar[ws.region[0]] = enc
+	for _, x := range ws.region {
+		ws.parent[x] = ws.sPar[x]
+		ws.join(x)
+		ws.linkChild(ws.pnode(x), x)
+	}
+	for _, a := range ws.border {
+		ws.classify(a)
+	}
+	if afterRepair != nil {
+		afterRepair(ws, true)
+	}
 }
 
 // reopen handles residual capacity opening on a boundary arc whose near
 // endpoint u stays in R: it augments straight through the arc — R-tree
 // path src->u, the arc itself, then a sink-side search beyond it —
 // until the arc re-saturates or the far side is exhausted. Only in the
-// latter case does the far component genuinely join R (grow); the
-// common breakpoint, where one augmenting path re-saturates the arc and
-// the cut barely moves, now costs one path instead of flooding and
-// evicting the whole sink side.
+// latter case does the cut move: the failed search's region joins R as
+// found (joinRegion). The common breakpoint, where one augmenting path
+// re-saturates the arc and the cut barely moves, costs one path instead
+// of flooding and evicting the whole sink side.
 func (ws *Workspace) reopen(a int32, fwd bool) (done bool, err error) {
 	var u, v int32
 	if fwd {
@@ -1086,12 +1059,9 @@ func (ws *Workspace) reopen(a int32, fwd bool) (done bool, err error) {
 			// No augmenting path beyond the arc: the far component is
 			// genuinely reachable now and joins R for good.
 			if fwd {
-				ws.parent[v] = a << 1
+				ws.joinRegion(a << 1)
 			} else {
-				ws.parent[v] = a<<1 | 1
-			}
-			if ws.grow(v) {
-				return ws.resolveIncremental()
+				ws.joinRegion(a<<1 | 1)
 			}
 			return false, nil
 		}
@@ -1194,89 +1164,6 @@ func (ws *Workspace) reopen(a int32, fwd bool) (done bool, err error) {
 	}
 }
 
-// grow runs the incremental source-side search from start after
-// residual capacity opened towards it (the caller records how start was
-// reached in parent[start]). It extends the parent tree over every node
-// it joins, classifies every arc newly crossing the cut, and returns
-// true once the sink joins — the parent chain is then a ready
-// augmenting path and the flow must be re-solved.
-func (ws *Workspace) grow(start int32) bool {
-	q := ws.queue[:0]
-	ws.join(start)
-	ws.linkChild(ws.pnode(start), start)
-	q = append(q, start)
-	reached := int(start) == ws.snk
-	// The search must drain its whole frontier even after the sink
-	// joins: a joined node whose neighbourhood was never scanned would
-	// leave reachable nodes outside R and silently undercount the cut.
-	// The flow re-solve evicts whatever the new cut separates.
-	for qh := 0; qh < len(q); qh++ {
-		v := q[qh]
-		for e := ws.adjOff[v]; e < ws.adjOff[v+1]; e++ {
-			enc := ws.adjArc[e]
-			a := enc >> 1
-			fwd := enc&1 == 0
-			// Crossing status changes: materialise lazy y and kill any
-			// pending event. Arcs with neither are untouched — the
-			// indexed heap makes "has a pending entry" an O(1) check,
-			// and nothing else reads the stamp.
-			if ws.cutDir[a] != 0 {
-				ws.matArc(a)
-			} else if ws.heapPos[a] >= 0 {
-				ws.arcStamp[a]++
-			}
-			var w int32
-			if fwd {
-				w = ws.head[a]
-			} else {
-				w = ws.tail[a]
-			}
-			if ws.inRf(w) {
-				continue
-			}
-			var slack float64
-			if fwd {
-				slack = ws.tRealOut(w) - ws.t[v] - ws.dur(a)
-			} else {
-				slack = ws.t[v] - ws.tRealOut(w) - ws.dur(a)
-			}
-			if slack > ws.tightEps {
-				if fwd {
-					ws.push(event{ws.lam - slack, a, ws.arcStamp[a], evSlack})
-				}
-				continue
-			}
-			if fwd {
-				if ws.fwdOpen(a) {
-					ws.parent[w] = enc
-					ws.join(w)
-					ws.linkChild(v, w)
-					if int(w) == ws.snk {
-						reached = true
-					}
-					q = append(q, w)
-				} else {
-					ws.enterCut(a, +1)
-				}
-			} else {
-				if ws.bwdOpen(a) {
-					ws.parent[w] = enc
-					ws.join(w)
-					ws.linkChild(v, w)
-					if int(w) == ws.snk {
-						reached = true
-					}
-					q = append(q, w)
-				} else if ws.hasFlow(a) {
-					ws.enterCut(a, -1)
-				}
-			}
-		}
-	}
-	ws.queue = q[:0]
-	return reached
-}
-
 // Sweep runs the parametric sweep on the built network. m is the
 // machine count of the caller's stopping line and phi0 the crashing
 // cost at y=0 (the work floor): the sweep stops at the crossing of
@@ -1332,6 +1219,10 @@ func (ws *Workspace) Sweep(src, snk int, m, phi0 float64) (float64, error) {
 		ws.sSeen[v] = 0
 	}
 	ws.sEpoch = 0
+	// A move holds each node and each arc at most once: sized up front,
+	// the two lists never grow mid-sweep.
+	ws.region = grown(ws.region, ws.nodes)[:0]
+	ws.border = grown(ws.border, nA)[:0]
 	ws.heap = ws.heap[:0]
 	ws.heapPos = grown(ws.heapPos, nA)
 	for a := range ws.heapPos {

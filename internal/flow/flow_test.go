@@ -151,32 +151,80 @@ func checkOutcome(t *testing.T, ws *flow.Workspace, nw *network, out outcome) {
 	}
 }
 
-// TestSweepTreeInvariants audits the source-side tree after every repair
-// on random deep networks, and each sweep's answer against its network.
-// TestSweepHangRegression audits the same tree on the instance whose
-// repair once corrupted it.
-func TestSweepTreeInvariants(t *testing.T) {
-	repairs := 0
-	var broken error
-	defer flow.WatchRepairs(func(ws *flow.Workspace) {
-		repairs++
-		if broken == nil {
-			broken = flow.CheckTree(ws)
+// treeAudit counts the R-tree changes of the sweeps run while it is
+// installed, and keeps the first invariant violation found after one.
+type treeAudit struct {
+	joins, repairs int
+	broken         error
+}
+
+// watchTree audits the R tree after every join and every repair of any
+// sweep until restore is called.
+func watchTree() (au *treeAudit, restore func()) {
+	au = &treeAudit{}
+	restore = flow.WatchRepairs(func(ws *flow.Workspace, joined bool) {
+		if joined {
+			au.joins++
+		} else {
+			au.repairs++
 		}
-	})()
+		if au.broken == nil {
+			au.broken = flow.CheckTree(ws)
+		}
+	})
+	return au, restore
+}
+
+// exercised fails the test unless the audit saw both kinds of change.
+func (au *treeAudit) exercised(t *testing.T) {
+	t.Helper()
+	if au.joins == 0 || au.repairs == 0 {
+		t.Fatalf("audited %d joins and %d repairs; the test must exercise both", au.joins, au.repairs)
+	}
+	t.Logf("%d joins and %d repairs audited", au.joins, au.repairs)
+}
+
+// TestSweepTreeInvariants audits the source-side tree after every join
+// and every repair on random deep networks, and each sweep's answer
+// against its network. TestSweepHangRegression audits the same tree on
+// the instance whose repair once corrupted it.
+func TestSweepTreeInvariants(t *testing.T) {
+	au, restore := watchTree()
+	defer restore()
 	ws := flow.NewWorkspace()
 	for trial := 0; trial < 60; trial++ {
 		nw := randomNetwork(int64(trial), 20+trial*2)
 		out := sweep(t, ws, nw)
-		if broken != nil {
-			t.Fatalf("trial %d: after a repair: %v", trial, broken)
+		if au.broken != nil {
+			t.Fatalf("trial %d: after a join or repair: %v", trial, au.broken)
 		}
 		checkOutcome(t, ws, nw, out)
 	}
-	if repairs == 0 {
-		t.Fatal("no sweep repaired its tree; the test exercises nothing")
+	au.exercised(t)
+}
+
+// FuzzSweep sweeps the random network of an arbitrary (seed, size) —
+// odd seeds draw integral rates, which tie capacities and saturate
+// several tree arcs at once — auditing the tree after every join and
+// repair, and checks the answer against its network.
+func FuzzSweep(f *testing.F) {
+	for _, c := range []struct {
+		seed int64
+		size int
+	}{{0, 20}, {1, 40}, {3, 1}, {9, 120}, {308, 200}} {
+		f.Add(c.seed, c.size)
 	}
-	t.Logf("%d repairs audited", repairs)
+	f.Fuzz(func(t *testing.T, seed int64, size int) {
+		nw := randomNetwork(seed, 1+int(uint(size)%200))
+		au, restore := watchTree()
+		defer restore()
+		ws := flow.NewWorkspace()
+		out := sweep(t, ws, nw)
+		if au.broken != nil {
+			t.Fatalf("after a join or repair: %v", au.broken)
+		}
+		checkOutcome(t, ws, nw, out)
+	})
 }
 
 // TestSweepReuseAcrossReset solves a small, a larger and a smaller
@@ -293,8 +341,8 @@ func mix(seed int64, stream, i int) uint64 {
 // TestSweepHangRegression solves the fresh n=500/m=32 instance of the
 // serving benchmark (seed 308, request 2057) that once never returned:
 // a corrupted source-side tree closed a parent cycle and the sweep's
-// walk to the source spun forever. The tree is audited after every
-// repair on the way.
+// walk to the source spun forever. The tree is audited after every join
+// and every repair on the way.
 func TestSweepHangRegression(t *testing.T) {
 	rng := rand.New(rand.NewSource(int64(mix(308, 3, 2057) >> 1)))
 	g := gen.Layered(25, 20, 3, rng)
@@ -304,12 +352,8 @@ func TestSweepHangRegression(t *testing.T) {
 			in.Edges = append(in.Edges, [2]int{v, w})
 		}
 	}
-	var broken error
-	defer flow.WatchRepairs(func(ws *flow.Workspace) {
-		if broken == nil {
-			broken = flow.CheckTree(ws)
-		}
-	})()
+	au, restore := watchTree()
+	defer restore()
 
 	type answer struct {
 		res *malsched.Result
@@ -322,12 +366,13 @@ func TestSweepHangRegression(t *testing.T) {
 	}()
 	select {
 	case a := <-done:
-		if broken != nil {
-			t.Fatalf("after a repair: %v", broken)
+		if au.broken != nil {
+			t.Fatalf("after a join or repair: %v", au.broken)
 		}
 		if a.err != nil {
 			t.Fatalf("solve: %v", a.err)
 		}
+		au.exercised(t)
 		if a.res.Formulation != malsched.FormulationMincut {
 			t.Errorf("formulation %q, want mincut", a.res.Formulation)
 		}

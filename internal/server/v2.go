@@ -166,6 +166,12 @@ func (s *Server) resolveInstance(req *SolveRequestV2) (in *malsched.Instance, wa
 		return in, nil, "", nil
 	}
 	entry, ok := s.cache.get(qualityKey(req.Base, req))
+	if (!ok || entry.inst == nil) && (req.Rho != nil || req.Mu != nil) {
+		// rho and mu key slots of their own, but phase 1, whose snapshot a
+		// warm delta replays, reads neither: the base solved without them
+		// holds the same instance and state.
+		entry, ok = s.cache.get(qualityKey(req.Base, &SolveRequestV2{Formulation: req.Formulation}))
+	}
 	if !ok || entry.inst == nil {
 		if in == nil {
 			return nil, nil, "", badRequestf("unknown base %q (evicted or never solved here) and no instance given", req.Base)

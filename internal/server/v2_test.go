@@ -221,6 +221,37 @@ func TestV2DeltaWarmThenCutoffs(t *testing.T) {
 	}
 }
 
+// TestV2DeltaWithOverridesFindsBase: rho and mu key quality slots of
+// their own, so a delta carrying an override once missed a base solved
+// without it and got the 400 "unknown base". Phase 1 reads neither, so
+// the base's instance and snapshot serve it warm, with the answer a cold
+// solve of the edited instance gives under the same override.
+func TestV2DeltaWithOverridesFindsBase(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	in := loadTestdata(t, "chain_n10_m4.json")
+	_, data := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Instance: in})
+	base := decodeSolveV2(t, data)
+
+	rho := 0.3
+	edits := []TaskEdit{editTimes(in, 1, 1.07), editTimes(in, 3, 0.9)}
+	resp, data := postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Base: base.Fingerprint, Edits: edits, Rho: &rho})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("delta with rho: status %d: %s", resp.StatusCode, data)
+	}
+	warm := decodeSolveV2(t, data)
+	if warm.Delta != "warm" {
+		t.Errorf("delta with rho: delta %q, want warm", warm.Delta)
+	}
+	edited, err := applyEdits(in, edits)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, data = postJSON(t, ts.URL+"/v2/solve", SolveRequestV2{Instance: edited, Rho: &rho, NoCache: true})
+	if cold := decodeSolveV2(t, data); warm.Makespan != cold.Makespan || warm.Fingerprint != cold.Fingerprint {
+		t.Errorf("delta with rho: makespan %v fingerprint %s, cold solve %v %s", warm.Makespan, warm.Fingerprint, cold.Makespan, cold.Fingerprint)
+	}
+}
+
 func TestV2DeltaBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	in := loadTestdata(t, "chain_n10_m4.json")
