@@ -20,11 +20,27 @@
 // for row how buildBaseLP emits x_j <= C_j only for sources and
 // C_j <= L only for sinks.
 //
+// Two kinds of start node are merged away: a source task starts at S
+// itself and a task with one predecessor i at out_i, so only tasks with
+// two or more predecessors keep an in_j and rigid arcs into it, and the
+// network has 2 + n + (such tasks) nodes. The merge is exact, because a
+// node whose only in-arc is rigid always sits on its tail's side of the
+// cut: with the tail in R the tight rigid arc has infinite forward
+// residual, and with the head in R, conservation puts the head's task
+// flow on the rigid arc, whose backward residual reaches the tail. So no
+// cut, event or crash changes (TestMincutMergeExact checks it against
+// the uncontracted network). The mirror merges, of an end node into its
+// one successor's start or of a sink task's end into T, are not exact:
+// an end node whose task carries no flow can sit on the sink side while
+// its out-arc's head is in R, and merging the two lets the sweep put a
+// zero-rate crash elsewhere, an equally optimal point with other
+// makespans.
+//
 // The payoff over the simplex is structural on wide DAGs: a simplex
 // solve pays a pivot per envelope piece the optimum crosses against an
 // ever-growing basis factorization, while the sweep pays roughly one
-// warm augmenting path per parametric breakpoint on a graph of 2n+2
-// nodes — layered n=2000/m=64 drops from ~18 s (lazy) to ~1.1 s,
+// warm augmenting path per parametric breakpoint on a graph of at most
+// 2n+2 nodes — layered n=2000/m=64 drops from ~18 s (lazy) to ~1.1 s,
 // measured back to back on the same machine, and n=10^4 lands in
 // ~46 s where the simplex never finished (EXPERIMENTS.md E16). Deep
 // DAGs are the exception: their breakpoint count grows with depth, and
@@ -69,28 +85,43 @@ func solveLPMincut(in *Instance, ws *Workspace, fronts []malleable.Frontier) (*F
 	n := in.G.N()
 	fw := &ws.Flow
 	fw.Cancel = ws.LP.Cancel
-	fw.Reset(2*n + 2)
 	const src, snk = 0, 1
+	// Task j ends at node 2+j and starts at S, at its one predecessor's
+	// end, or, with two or more predecessors, at a node of its own.
+	start := growInt32(ws.mcStart, n)
+	nodes := 2 + n
+	for j := 0; j < n; j++ {
+		switch preds := in.G.Preds(j); len(preds) {
+		case 0:
+			start[j] = src
+		case 1:
+			start[j] = int32(2 + preds[0])
+		default:
+			start[j] = int32(nodes)
+			nodes++
+		}
+	}
+	ws.mcStart = start
+	fw.Reset(nodes)
 	taskArc := growInt32(ws.mcArc, n)
 	wfloor := 0.0
 	for j := 0; j < n; j++ {
 		f := &fronts[j]
 		wfloor += f.W[0]
-		taskArc[j] = int32(fw.Arc(2+2*j, 3+2*j, f.XMax()))
+		taskArc[j] = int32(fw.Arc(int(start[j]), 2+j, f.XMax()))
 		if f.Segments() >= 1 {
 			sigmas := ws.repFill(f)
 			for k := range sigmas {
 				fw.Piece(sigmas[k], ws.repWidth[k])
 			}
 		}
-		if len(in.G.Preds(j)) == 0 {
-			fw.Arc(src, 2+2*j, 0)
-		}
 		for _, s := range in.G.Succs(j) {
-			fw.Arc(3+2*j, 2+2*s, 0)
+			if int(start[s]) != 2+j { // a successor starting at j's end needs no arc
+				fw.Arc(2+j, int(start[s]), 0)
+			}
 		}
 		if len(in.G.Succs(j)) == 0 {
-			fw.Arc(3+2*j, snk, 0)
+			fw.Arc(2+j, snk, 0)
 		}
 	}
 	ws.mcArc = taskArc

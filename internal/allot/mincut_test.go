@@ -1,18 +1,27 @@
 package allot_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"malsched"
 	"malsched/internal/allot"
 	"malsched/internal/bruteforce"
+	"malsched/internal/core"
+	"malsched/internal/dag"
 	"malsched/internal/flow"
 	"malsched/internal/gen"
+	"malsched/internal/listsched"
 	"malsched/internal/malleable"
+	"malsched/internal/params"
 	"malsched/internal/prep"
+	"malsched/internal/solver"
 )
 
 // checkMincutAgainstSparse solves the instance with the parametric
@@ -250,5 +259,117 @@ func TestHugeTimesBothEngines(t *testing.T) {
 		if len(cs) == 2 && math.Abs(cs[0]-cs[1]) > 1e-9*cs[1] {
 			t.Errorf("s=%g: lazy C*=%g, mincut C*=%g", s, cs[0], cs[1])
 		}
+	}
+}
+
+// TestMincutMergeExact pins the merge in the production network: a task
+// with one predecessor starts at that predecessor's end node and a
+// source task at S, so the network holds 2 + n + (tasks with two or more
+// predecessors) nodes and no rigid arc into a merged start. The merge
+// moves no cut, so C* and x* must match the uncontracted network's on
+// every DAG family.
+func TestMincutMergeExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(2424))
+	ws, oracle := allot.NewWorkspace(), allot.NewWorkspace()
+	for _, fam := range []struct {
+		name  string
+		build func(n int) *dag.DAG
+	}{
+		{"chain", gen.Chain},
+		{"outtree", func(n int) *dag.DAG { return gen.OutTree(n, rng) }},
+		{"independent", gen.Independent},
+		{"forkjoin", func(n int) *dag.DAG { return gen.ForkJoin(n - 2) }},
+		{"seriesparallel", func(n int) *dag.DAG { return gen.SeriesParallel(n-2, rng) }},
+		{"layered2", func(n int) *dag.DAG { return gen.Layered(n/2, 2, 3, rng) }},
+		{"layered8", func(n int) *dag.DAG { return gen.Layered(n/8, 8, 3, rng) }},
+		{"layered20", func(n int) *dag.DAG { return gen.Layered(n/20, 20, 3, rng) }},
+		{"erdos0.05", func(n int) *dag.DAG { return gen.ErdosDAG(n, 0.05, rng) }},
+		{"erdos0.3", func(n int) *dag.DAG { return gen.ErdosDAG(n, 0.3, rng) }},
+	} {
+		for _, m := range []int{4, 16, 64} {
+			in := gen.Instance(fam.build(40+rng.Intn(81)), gen.FamilyMixed, m, rng)
+			n := in.G.N()
+			t.Run(fmt.Sprintf("%s_n%d_m%d", fam.name, n, m), func(t *testing.T) {
+				got, err := allot.SolveLPFormulation(in, ws, allot.FormulationMincut)
+				if err != nil {
+					t.Fatalf("merged: %v", err)
+				}
+				nodes, arcs := ws.Flow.Size()
+				wantNodes, wantArcs := 2+n, n
+				for j := 0; j < n; j++ {
+					if p := len(in.G.Preds(j)); p > 1 {
+						wantNodes++
+						wantArcs += p
+					}
+					if len(in.G.Succs(j)) == 0 {
+						wantArcs++
+					}
+				}
+				if nodes != wantNodes || arcs != wantArcs {
+					t.Errorf("network has %d nodes and %d arcs, want %d and %d", nodes, arcs, wantNodes, wantArcs)
+				}
+				want, err := allot.SolveLPMincutUncontracted(in, oracle)
+				if err != nil {
+					t.Fatalf("uncontracted: %v", err)
+				}
+				if math.Abs(got.C-want.C) > 1e-9*math.Abs(want.C) {
+					t.Errorf("C* = %v merged, %v uncontracted", got.C, want.C)
+				}
+				for j := range want.X {
+					if math.Abs(got.X[j]-want.X[j]) > 1e-9 {
+						t.Errorf("task %d: x* = %v merged, %v uncontracted", j, got.X[j], want.X[j])
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestMincutMergeKeepsCannedMakespans runs the mincut-pinned pipeline
+// (prep, phase 1, rounding, LIST) on every committed instance from the
+// merged and the uncontracted network: the makespans must be identical.
+func TestMincutMergeKeepsCannedMakespans(t *testing.T) {
+	files, err := filepath.Glob("../../testdata/*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("no canned instances found: %v", err)
+	}
+	for _, path := range files {
+		t.Run(filepath.Base(path), func(t *testing.T) {
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pub, err := malsched.ReadJSON(bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := dag.New(len(pub.Tasks))
+			for _, e := range prep.DedupEdges(pub.Edges) {
+				g.MustEdge(e[0], e[1])
+			}
+			in := &allot.Instance{G: g, Tasks: pub.Tasks, M: pub.M}
+			sws := solver.NewWorkspace()
+			red := sws.Reduce(in)
+			choice := params.Choose(in.M)
+			makespan := func(solve func(*allot.Instance, *allot.Workspace) (*allot.Fractional, error)) float64 {
+				lpws := allot.NewWorkspace()
+				frac, err := solve(red, lpws)
+				if err != nil {
+					t.Fatal(err)
+				}
+				alpha := listsched.CapAllotment(allot.RoundWith(red, frac, choice.Rho, lpws), choice.Mu)
+				res, err := core.ScheduleWith(in, alpha, sws)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res.Makespan
+			}
+			got := makespan(func(in *allot.Instance, ws *allot.Workspace) (*allot.Fractional, error) {
+				return allot.SolveLPFormulation(in, ws, allot.FormulationMincut)
+			})
+			if want := makespan(allot.SolveLPMincutUncontracted); got != want {
+				t.Errorf("makespan %v from the merged network, %v from the uncontracted one", got, want)
+			}
+		})
 	}
 }

@@ -57,9 +57,11 @@ type Workspace struct {
 	totalSegs int
 
 	// Flow is the parametric min-cut scratch of the mincut formulation;
-	// mcArc maps task j to its crashable arc in the built network.
-	Flow  flow.Workspace
-	mcArc []int32
+	// mcArc maps task j to its crashable arc in the built network and
+	// mcStart to the node that arc starts at (its end node is 2+j).
+	Flow    flow.Workspace
+	mcArc   []int32
+	mcStart []int32
 
 	// Envelope scratch of the min-cut network's crashing curves: the
 	// representative-line buffers of repFill (mincut.go).

@@ -63,3 +63,69 @@ func CheckTree(ws *Workspace) error {
 	}
 	return nil
 }
+
+// WatchPaths audits every path a sink search hands to reopen with
+// checkPath, reporting each result to fn, and returns a function that
+// removes the audit again.
+func WatchPaths(fn func(along, broke bool, err error)) (restore func()) {
+	afterSearch = func(ws *Workspace, start int32) { fn(checkPath(ws, start)) }
+	return func() { afterSearch = nil }
+}
+
+// checkPath audits the path a sink search just found from start, walking
+// it back from the sink along sPar: every step is tight and open in its
+// direction, both its ends lie outside R, no node appears twice, and the
+// walk ends at start. It also compares the path with the memory it was
+// found with: along reports that every step is its near node's
+// remembered arc; broke that the path starts along start's memory and
+// then leaves it at a node that remembers another arc.
+func checkPath(ws *Workspace, start int32) (along, broke bool, err error) {
+	seen := map[int32]bool{int32(ws.snk): true}
+	var steps []int32 // adjacency encodings, from the sink back to start
+	for w := int32(ws.snk); w != start; {
+		if len(steps) >= ws.nodes {
+			return false, false, fmt.Errorf("path from %d: no start within %d steps of the sink", start, ws.nodes)
+		}
+		enc := ws.sPar[w]
+		a := enc >> 1
+		fwd := enc&1 == 0
+		near, far := ws.tail[a], ws.head[a]
+		if !fwd {
+			near, far = far, near
+		}
+		switch {
+		case far != w:
+			return false, false, fmt.Errorf("path from %d: node %d's step is arc %d, which does not end there", start, w, a)
+		case ws.inRf(near) || ws.inRf(far):
+			return false, false, fmt.Errorf("path from %d: arc %d touches the source side", start, a)
+		case !ws.tight(a):
+			return false, false, fmt.Errorf("path from %d: arc %d is slack", start, a)
+		case fwd && !ws.fwdOpen(a), !fwd && !ws.bwdOpen(a):
+			return false, false, fmt.Errorf("path from %d: arc %d has no residual in the path's direction", start, a)
+		case seen[near]:
+			return false, false, fmt.Errorf("path from %d: node %d appears twice", start, near)
+		}
+		seen[near] = true
+		steps = append(steps, enc)
+		w = near
+	}
+	along = true
+	left := false // the path has left the memory
+	w := start
+	for i := len(steps) - 1; i >= 0; i-- {
+		enc := steps[i]
+		if enc != ws.sNext[w] {
+			along = false
+			if !left && i < len(steps)-1 && ws.sNext[w] >= 0 {
+				broke = true
+			}
+			left = true
+		}
+		if enc&1 == 0 {
+			w = ws.head[enc>>1]
+		} else {
+			w = ws.tail[enc>>1]
+		}
+	}
+	return along, broke, nil
+}

@@ -33,14 +33,18 @@
 // re-arms the arc on its next piece, or opens residual capacity, in
 // which case flow augments straight through the opened arc — source
 // tree, the arc, a sink-side search beyond it — until it re-saturates.
-// Only when that search fails does the cut move: the nodes it reached
-// are exactly the component now reachable from the source side R, so
-// they join R as found, under the search's own parent pointers, and only
-// the arcs it saw leaving them are re-filed. An augmentation repairs the
-// R tree by orphan adoption, and evicting the orphans that stay
-// unreachable re-files only the arcs the adoption scans saw between them
-// and the rest of the network, so each cut move costs one scan of the
-// nodes it moves. The crossing of
+// Every node an augmenting path passes remembers the arc the path left
+// it by, and a later sink search follows that memory first, re-checking
+// every step: between two events most of the last path stays tight and
+// open, so a successful search costs about the path it finds instead of
+// a search of the sink side. Only when a search fails does the cut
+// move: the nodes it reached are exactly the component now reachable
+// from the source side R, so they join R as found, under the search's
+// own parent pointers, and only the arcs it saw leaving them are
+// re-filed. An augmentation repairs the R tree by orphan adoption, and
+// evicting the orphans that stay unreachable re-files only the arcs the
+// adoption scans saw between them and the rest of the network, so each
+// cut move costs one scan of the nodes it moves. The crossing of
 // m*lambda with phi is itself just the final event. An augmenting path
 // of infinite bottleneck proves no finite cut remains: lambda has hit
 // the fully-crashed critical-path length and cannot decrease further.
@@ -78,6 +82,11 @@ var FaultSweep func() bool
 // tree — a region joining (joined) and a repair after an augmentation
 // (processOrphans) — so the tree invariants can be audited mid-sweep.
 var afterRepair func(ws *Workspace, joined bool)
+
+// afterSearch, when set by a test, runs on every path a sink search
+// finds from start, before reopen augments along it and remembers it,
+// so the path can be audited against the memory it was found with.
+var afterSearch func(ws *Workspace, start int32)
 
 // Event kinds: a cut arc hitting a piece boundary of its crashing curve
 // (forward = crashing, backward = un-crashing), and a slack arc from
@@ -172,8 +181,12 @@ type Workspace struct {
 	// Sink-side search scratch (reopen): sPar records the residual
 	// tight arc each sink-side node was reached through, sSeen marks
 	// visits by epoch so the arrays never need clearing per search.
+	// sNext remembers, per node, the arc by which the last augmenting
+	// path through it left towards the sink (-1 when none has), which
+	// the search tries first.
 	sPar   []int32
 	sSeen  []int32
+	sNext  []int32
 	sEpoch int32
 	dstack []int32
 
@@ -217,6 +230,9 @@ func (ws *Workspace) Reset(nodes int) {
 	ws.rate = ws.rate[:0]
 	ws.cum = ws.cum[:0]
 }
+
+// Size returns the node and arc counts of the network built so far.
+func (ws *Workspace) Size() (nodes, arcs int) { return ws.nodes, len(ws.tail) }
 
 // Arc appends an arc from u to v with uncrashed duration dur and no
 // crashing curve yet (rigid until Piece is called), returning its id.
@@ -955,9 +971,15 @@ func (ws *Workspace) classify(a int32) {
 // strictly outside R. Paths that re-enter R are dead ends — R is closed
 // under residual reachability, so nothing inside it leads to the sink —
 // and sink-side potentials all sit on the same falling clock, so raw t
-// comparisons are consistent throughout. It lists the nodes it reaches
-// in region and every arc it declines — into R, slack, or saturated —
-// on the border, which is what joinRegion needs when the search fails.
+// comparisons are consistent throughout. A popped node first follows
+// the remembered path (sNext) for as long as each step passes the same
+// tests the scan applies: between two events most of the last
+// augmenting path stays tight and open, so a successful search mostly
+// walks it instead of searching the sink side again. The nodes the walk
+// passes go back on the stack, so each reached node is still scanned
+// once. The search lists the nodes it reaches in region and every arc it
+// declines — into R, slack, or saturated — on the border, which is what
+// joinRegion needs when the search fails.
 func (ws *Workspace) sinkSearch(start int32) bool {
 	ws.sEpoch++
 	ep := ws.sEpoch
@@ -968,6 +990,36 @@ func (ws *Workspace) sinkSearch(start int32) bool {
 	for len(st) > 0 {
 		x := st[len(st)-1]
 		st = st[:len(st)-1]
+		//malsched:bounded each step marks an unvisited node, and a visited one ends the walk
+		for {
+			enc := ws.sNext[x]
+			if enc < 0 {
+				break
+			}
+			a := enc >> 1
+			fwd := enc&1 == 0
+			var w int32
+			var slack float64
+			if fwd {
+				w = ws.head[a]
+				slack = ws.t[w] - ws.t[x] - ws.dur(a)
+			} else {
+				w = ws.tail[a]
+				slack = ws.t[x] - ws.t[w] - ws.dur(a)
+			}
+			if ws.sSeen[w] == ep || ws.inRf(w) || slack > ws.tightEps || (fwd && !ws.fwdOpen(a)) || (!fwd && !ws.bwdOpen(a)) {
+				break
+			}
+			ws.sSeen[w] = ep
+			ws.sPar[w] = enc
+			if int(w) == ws.snk {
+				ws.region, ws.border, ws.dstack = reached, border, st
+				return true
+			}
+			reached = append(reached, w)
+			st = append(st, x)
+			x = w
+		}
 		tx := ws.t[x]
 		for e := ws.adjOff[x]; e < ws.adjOff[x+1]; e++ {
 			enc := ws.adjArc[e]
@@ -1033,13 +1085,14 @@ func (ws *Workspace) joinRegion(enc int32) {
 // latter case does the cut move: the failed search's region joins R as
 // found (joinRegion). The common breakpoint, where one augmenting path
 // re-saturates the arc and the cut barely moves, costs one path instead
-// of flooding and evicting the whole sink side.
+// of flooding and evicting the whole sink side. Every node of an
+// augmenting path, on either side of the arc, remembers in sNext the arc
+// the path left it by, for the next sink search through it to try
+// first; a remembered arc is only a hint, which that search re-checks.
 func (ws *Workspace) reopen(a int32, fwd bool) (done bool, err error) {
-	var u, v int32
-	if fwd {
-		u, v = ws.tail[a], ws.head[a]
-	} else {
-		u, v = ws.head[a], ws.tail[a]
+	u, v, aenc := ws.tail[a], ws.head[a], a<<1 // aenc: a's adjacency encoding seen from u
+	if !fwd {
+		u, v, aenc = v, u, aenc|1
 	}
 	pathOK := false // sink-side sPar path from the previous iteration still usable
 	//malsched:bounded every iteration returns or augments one path; augment counts toward the sweep budget (ErrStalled), polled by the event loop
@@ -1055,15 +1108,16 @@ func (ws *Workspace) reopen(a int32, fwd bool) (done bool, err error) {
 			}
 			return false, nil
 		}
-		if int(v) != ws.snk && !pathOK && !ws.sinkSearch(v) {
-			// No augmenting path beyond the arc: the far component is
-			// genuinely reachable now and joins R for good.
-			if fwd {
-				ws.joinRegion(a << 1)
-			} else {
-				ws.joinRegion(a<<1 | 1)
+		if int(v) != ws.snk && !pathOK {
+			if !ws.sinkSearch(v) {
+				// No augmenting path beyond the arc: the far component is
+				// genuinely reachable now and joins R for good.
+				ws.joinRegion(aenc)
+				return false, nil
 			}
-			return false, nil
+			if afterSearch != nil {
+				afterSearch(ws, v)
+			}
 		}
 		bott := ws.residual(a, fwd)
 		for w := int32(ws.snk); w != v; {
@@ -1124,19 +1178,22 @@ func (ws *Workspace) reopen(a int32, fwd bool) (done bool, err error) {
 				}
 				w = ws.head[aa]
 			}
+			ws.sNext[w] = enc
 		}
+		ws.sNext[u] = aenc
 		roots := ws.orphList[:0]
-		for w, k := u, 0; int(w) != ws.src; w, k = ws.pnode(w), k+1 {
-			enc := ws.parent[w]
-			if enc < 0 || k >= ws.nodes {
+		for w, k := u, 0; int(w) != ws.src; k++ {
+			pe := ws.parent[w]
+			if pe < 0 || k >= ws.nodes {
 				return false, errChain
 			}
-			aa := enc >> 1
-			if enc&1 == 0 {
+			aa := pe >> 1
+			if pe&1 == 0 {
 				ws.f[aa] += bott
 				if !ws.fwdOpen(aa) {
 					roots = append(roots, w)
 				}
+				w = ws.tail[aa]
 			} else {
 				ws.f[aa] -= bott
 				if ws.f[aa] < 0 {
@@ -1145,7 +1202,9 @@ func (ws *Workspace) reopen(a int32, fwd bool) (done bool, err error) {
 				if !ws.bwdOpen(aa) {
 					roots = append(roots, w)
 				}
+				w = ws.head[aa]
 			}
+			ws.sNext[w] = pe
 		}
 		ws.orphList = roots
 		ws.muv += bott
@@ -1215,14 +1274,18 @@ func (ws *Workspace) Sweep(src, snk int, m, phi0 float64) (float64, error) {
 	ws.parent = grown(ws.parent, ws.nodes)
 	ws.sPar = grown(ws.sPar, ws.nodes)
 	ws.sSeen = grown(ws.sSeen, ws.nodes)
+	ws.sNext = grown(ws.sNext, ws.nodes)
 	for v := range ws.sSeen {
 		ws.sSeen[v] = 0
+		ws.sNext[v] = -1
 	}
 	ws.sEpoch = 0
-	// A move holds each node and each arc at most once: sized up front,
-	// the two lists never grow mid-sweep.
+	// A move holds each node and each arc at most once, and a sink
+	// search's stack each node at most once: sized up front, the three
+	// lists never grow mid-sweep.
 	ws.region = grown(ws.region, ws.nodes)[:0]
 	ws.border = grown(ws.border, nA)[:0]
+	ws.dstack = grown(ws.dstack, ws.nodes)[:0]
 	ws.heap = ws.heap[:0]
 	ws.heapPos = grown(ws.heapPos, nA)
 	for a := range ws.heapPos {

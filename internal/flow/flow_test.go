@@ -13,10 +13,10 @@ import (
 	"malsched/internal/gen"
 )
 
-// network is a random project-crashing network as internal/allot builds
-// them: task j is the crashable arc 2+2j -> 3+2j, precedence arcs are
-// rigid and zero-length, and the super source 0 and super sink 1 hang
-// off the DAG's sources and sinks.
+// network is a random project-crashing network: each task is a
+// crashable arc, precedence arcs are rigid and zero-length, and the
+// super source 0 and super sink 1 hang off the DAG's sources and sinks.
+// merged picks internal/allot's layout (see build).
 type network struct {
 	n      int
 	base   []float64   // uncrashed task durations
@@ -25,6 +25,7 @@ type network struct {
 	succs  [][]int
 	m      float64
 	phi0   float64 // work floor: every task uncrashed
+	merged bool
 }
 
 // randomNetwork draws a layered-ish task DAG of n tasks (arcs only to
@@ -72,30 +73,59 @@ func randomNetwork(seed int64, n int) *network {
 	return nw
 }
 
-// build loads the network into ws in allot's arc order and returns the
-// task arcs' ids.
+// build loads the network into ws and returns the task arcs' ids. In
+// the plain layout task j is the arc 2+2j -> 3+2j, with a rigid arc into
+// its start from the source or from each predecessor's end. The merged
+// layout is internal/allot's: task j ends at node 2+j and starts at the
+// source without predecessors, at its one predecessor's end with one,
+// and only with two or more at a node of its own, fed by rigid arcs.
 func (nw *network) build(ws *flow.Workspace) []int {
-	hasPred := make([]bool, nw.n)
+	preds := make([]int, nw.n)
 	for j := range nw.succs {
 		for _, s := range nw.succs[j] {
-			hasPred[s] = true
+			preds[s]++
 		}
 	}
-	ws.Reset(2*nw.n + 2)
+	start, end := make([]int, nw.n), make([]int, nw.n)
+	nodes := 2 + 2*nw.n
+	if nw.merged {
+		nodes = 2 + nw.n
+	}
+	for j := 0; j < nw.n; j++ { // task indices are a topological order
+		switch {
+		case !nw.merged:
+			start[j], end[j] = 2+2*j, 3+2*j
+			continue
+		case preds[j] == 0:
+			start[j] = 0
+		case preds[j] > 1:
+			start[j] = nodes
+			nodes++
+		}
+		end[j] = 2 + j
+		for _, s := range nw.succs[j] {
+			if preds[s] == 1 {
+				start[s] = end[j]
+			}
+		}
+	}
+	ws.Reset(nodes)
 	arcs := make([]int, nw.n)
 	for j := 0; j < nw.n; j++ {
-		arcs[j] = ws.Arc(2+2*j, 3+2*j, nw.base[j])
+		arcs[j] = ws.Arc(start[j], end[j], nw.base[j])
 		for k := range nw.rates[j] {
 			ws.Piece(nw.rates[j][k], nw.widths[j][k])
 		}
-		if !hasPred[j] {
-			ws.Arc(0, 2+2*j, 0)
+		if !nw.merged && preds[j] == 0 {
+			ws.Arc(0, start[j], 0)
 		}
 		for _, s := range nw.succs[j] {
-			ws.Arc(3+2*j, 2+2*s, 0)
+			if start[s] != end[j] {
+				ws.Arc(end[j], start[s], 0)
+			}
 		}
 		if len(nw.succs[j]) == 0 {
-			ws.Arc(3+2*j, 1, 0)
+			ws.Arc(end[j], 1, 0)
 		}
 	}
 	return arcs
@@ -108,7 +138,7 @@ type outcome struct {
 	y                     []float64
 }
 
-func sweep(t *testing.T, ws *flow.Workspace, nw *network) outcome {
+func sweep(t testing.TB, ws *flow.Workspace, nw *network) outcome {
 	t.Helper()
 	arcs := nw.build(ws)
 	c, err := ws.Sweep(0, 1, nw.m, nw.phi0)
@@ -125,7 +155,7 @@ func sweep(t *testing.T, ws *flow.Workspace, nw *network) outcome {
 // checkOutcome audits a sweep against its network: C is the larger of
 // the critical path and the cost line, the cost matches the crash
 // amounts, and the critical path under the crashed durations is lambda.
-func checkOutcome(t *testing.T, ws *flow.Workspace, nw *network, out outcome) {
+func checkOutcome(t testing.TB, ws *flow.Workspace, nw *network, out outcome) {
 	t.Helper()
 	tol := 1e-6 * (1 + out.c)
 	if want := math.Max(out.lambda, out.phi/nw.m); math.Abs(out.c-want) > tol {
@@ -151,18 +181,22 @@ func checkOutcome(t *testing.T, ws *flow.Workspace, nw *network, out outcome) {
 	}
 }
 
-// treeAudit counts the R-tree changes of the sweeps run while it is
-// installed, and keeps the first invariant violation found after one.
-type treeAudit struct {
+// sweepAudit counts, over the sweeps run while it is installed, the
+// R-tree changes (joins and repairs) and the sink-search paths found
+// wholly along the remembered arcs (along) or leaving them mid-way
+// (broke), and keeps the first violation the audits of the tree and of
+// the paths find.
+type sweepAudit struct {
 	joins, repairs int
+	along, broke   int
 	broken         error
 }
 
-// watchTree audits the R tree after every join and every repair of any
-// sweep until restore is called.
-func watchTree() (au *treeAudit, restore func()) {
-	au = &treeAudit{}
-	restore = flow.WatchRepairs(func(ws *flow.Workspace, joined bool) {
+// watchSweep audits the R tree after every join and every repair, and
+// every path a sink search finds, of any sweep until restore is called.
+func watchSweep() (au *sweepAudit, restore func()) {
+	au = &sweepAudit{}
+	trees := flow.WatchRepairs(func(ws *flow.Workspace, joined bool) {
 		if joined {
 			au.joins++
 		} else {
@@ -172,31 +206,45 @@ func watchTree() (au *treeAudit, restore func()) {
 			au.broken = flow.CheckTree(ws)
 		}
 	})
-	return au, restore
+	paths := flow.WatchPaths(func(along, broke bool, err error) {
+		if along {
+			au.along++
+		}
+		if broke {
+			au.broke++
+		}
+		if au.broken == nil {
+			au.broken = err
+		}
+	})
+	return au, func() { paths(); trees() }
 }
 
-// exercised fails the test unless the audit saw both kinds of change.
-func (au *treeAudit) exercised(t *testing.T) {
+// exercised fails the test unless the audit saw both kinds of tree
+// change and both kinds of remembered path.
+func (au *sweepAudit) exercised(t testing.TB) {
 	t.Helper()
-	if au.joins == 0 || au.repairs == 0 {
-		t.Fatalf("audited %d joins and %d repairs; the test must exercise both", au.joins, au.repairs)
+	if au.joins == 0 || au.repairs == 0 || au.along == 0 || au.broke == 0 {
+		t.Fatalf("audited %d joins, %d repairs, %d paths along the memory and %d leaving it mid-way; the test must exercise all four",
+			au.joins, au.repairs, au.along, au.broke)
 	}
-	t.Logf("%d joins and %d repairs audited", au.joins, au.repairs)
+	t.Logf("audited %d joins, %d repairs, %d paths along the memory and %d leaving it mid-way", au.joins, au.repairs, au.along, au.broke)
 }
 
 // TestSweepTreeInvariants audits the source-side tree after every join
-// and every repair on random deep networks, and each sweep's answer
-// against its network. TestSweepHangRegression audits the same tree on
-// the instance whose repair once corrupted it.
+// and every repair, and every path a sink search finds, on random deep
+// networks, and each sweep's answer against its network.
+// TestSweepHangRegression runs the same audits on the instance whose
+// repair once corrupted the tree.
 func TestSweepTreeInvariants(t *testing.T) {
-	au, restore := watchTree()
+	au, restore := watchSweep()
 	defer restore()
 	ws := flow.NewWorkspace()
 	for trial := 0; trial < 60; trial++ {
 		nw := randomNetwork(int64(trial), 20+trial*2)
 		out := sweep(t, ws, nw)
 		if au.broken != nil {
-			t.Fatalf("trial %d: after a join or repair: %v", trial, au.broken)
+			t.Fatalf("trial %d: %v", trial, au.broken)
 		}
 		checkOutcome(t, ws, nw, out)
 	}
@@ -205,26 +253,46 @@ func TestSweepTreeInvariants(t *testing.T) {
 
 // FuzzSweep sweeps the random network of an arbitrary (seed, size) —
 // odd seeds draw integral rates, which tie capacities and saturate
-// several tree arcs at once — auditing the tree after every join and
-// repair, and checks the answer against its network.
+// several tree arcs at once, and odd sizes build internal/allot's merged
+// layout, where tasks start at the source or at a predecessor's end —
+// auditing the tree after every join and repair and every path a sink
+// search finds, and checks the answer against its network. Its seeds
+// between them must exercise every audit; a fuzzed input, which may be
+// too small for any, has only to pass them.
 func FuzzSweep(f *testing.F) {
+	au, restore := watchSweep()
+	ws := flow.NewWorkspace()
 	for _, c := range []struct {
 		seed int64
 		size int
-	}{{0, 20}, {1, 40}, {3, 1}, {9, 120}, {308, 200}} {
+	}{{0, 20}, {1, 40}, {3, 1}, {9, 120}, {308, 200}, {2, 61}, {5, 151}} {
 		f.Add(c.seed, c.size)
+		nw := fuzzNetwork(c.seed, c.size)
+		checkOutcome(f, ws, nw, sweep(f, ws, nw))
 	}
+	restore()
+	if au.broken != nil {
+		f.Fatal(au.broken)
+	}
+	au.exercised(f)
 	f.Fuzz(func(t *testing.T, seed int64, size int) {
-		nw := randomNetwork(seed, 1+int(uint(size)%200))
-		au, restore := watchTree()
+		nw := fuzzNetwork(seed, size)
+		au, restore := watchSweep()
 		defer restore()
 		ws := flow.NewWorkspace()
 		out := sweep(t, ws, nw)
 		if au.broken != nil {
-			t.Fatalf("after a join or repair: %v", au.broken)
+			t.Fatal(au.broken)
 		}
 		checkOutcome(t, ws, nw, out)
 	})
+}
+
+// fuzzNetwork is FuzzSweep's network for (seed, size).
+func fuzzNetwork(seed int64, size int) *network {
+	nw := randomNetwork(seed, 1+int(uint(size)%200))
+	nw.merged = size&1 != 0
+	return nw
 }
 
 // TestSweepReuseAcrossReset solves a small, a larger and a smaller
@@ -352,7 +420,7 @@ func TestSweepHangRegression(t *testing.T) {
 			in.Edges = append(in.Edges, [2]int{v, w})
 		}
 	}
-	au, restore := watchTree()
+	au, restore := watchSweep()
 	defer restore()
 
 	type answer struct {
@@ -367,7 +435,7 @@ func TestSweepHangRegression(t *testing.T) {
 	select {
 	case a := <-done:
 		if au.broken != nil {
-			t.Fatalf("after a join or repair: %v", au.broken)
+			t.Fatal(au.broken)
 		}
 		if a.err != nil {
 			t.Fatalf("solve: %v", a.err)
