@@ -162,7 +162,9 @@ govulncheck:
 # Short deterministic fuzz pass over the parsing/quantization surfaces,
 # the v2 HTTP edge (FuzzServeV2: arbitrary /v2/solve and /v2/batch bodies
 # never get a 500), the request decoder (FuzzDecodeV2: the same error
-# and value as encoding/json on every body) and the min-cut sweep
+# and value as encoding/json on every body), its number conversions
+# (FuzzDecodeNumber: the same decision and float64 bits as strconv on
+# every token) and the min-cut sweep
 # (FuzzSweep: random crashing networks, the source-side tree audited
 # after every join and repair, each answer checked against its
 # network); the corpora under testdata/fuzz (if any) plus 10s of
@@ -174,6 +176,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzQuantize$$' -fuzztime=10s .
 	$(GO) test -run '^$$' -fuzz '^FuzzServeV2$$' -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeV2$$' -fuzztime=10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNumber$$' -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzSweep$$' -fuzztime=10s ./internal/flow
 
 ci: lint lint-selftest staticcheck govulncheck build linkcheck race bench-module fuzz-smoke chaos

@@ -84,6 +84,24 @@ func TestFingerprintGolden(t *testing.T) {
 	}
 }
 
+// TestFingerprintGoldenServeShape pins both encodings on a serve-shape
+// instance (n=96, m=16), whose encodings span many of the blocks the
+// digest is fed in: the digests are the ones the encoding gave when each
+// value went to the digest on its own.
+func TestFingerprintGoldenServeShape(t *testing.T) {
+	in := servingInstance(1, 12, 8, 2, 16, 1)
+	const (
+		fp  = "a14224d84aa051e58b4be3863c72c2356dd829508adfedf94f71999bd0c344ee"
+		sfp = "b1c0335c228c28f5f7fa16a3f69e7b8468c5ce5b004da3ef07c0d4b00bf29a18"
+	)
+	if got := in.Fingerprint(); got != fp {
+		t.Errorf("Fingerprint %s, want %s", got, fp)
+	}
+	if got := in.StructureFingerprint(); got != sfp {
+		t.Errorf("StructureFingerprint %s, want %s", got, sfp)
+	}
+}
+
 // midQuantum moves p to the middle of its quantization bucket, so that
 // sub-quantum noise cannot straddle a rounding boundary. Quantization is a
 // round, not an interval map: noise landing exactly on a boundary still

@@ -129,3 +129,33 @@ func checkPath(ws *Workspace, start int32) (along, broke bool, err error) {
 	}
 	return along, broke, nil
 }
+
+// CorruptSiblings closes a cycle in one child list of a sweep in
+// progress: among the source-side nodes with children it takes the one
+// deepest in the R tree, whose subtree the next repairs most likely
+// detach, and makes its first child the next sibling of its last. It
+// reports whether any node had children.
+func CorruptSiblings(ws *Workspace) bool {
+	deepest, depth := int32(-1), -1
+	for p := int32(0); int(p) < ws.nodes; p++ {
+		if !ws.inRf(p) || ws.firstKid[p] < 0 {
+			continue
+		}
+		d := 0
+		for w := p; int(w) != ws.src && d < ws.nodes; w = ws.pnode(w) {
+			d++
+		}
+		if d > depth {
+			deepest, depth = p, d
+		}
+	}
+	if deepest < 0 {
+		return false
+	}
+	last := ws.firstKid[deepest]
+	for ws.nextSib[last] >= 0 {
+		last = ws.nextSib[last]
+	}
+	ws.nextSib[last] = ws.firstKid[deepest]
+	return true
+}

@@ -68,10 +68,11 @@ import (
 // the serving layer's degradation ladder classifies it as recoverable.
 var ErrStalled = errors.New("flow: parametric sweep stalled")
 
-// errChain reports an R-tree parent chain that does not reach the
-// source within the node count: the tree is corrupt, and the sweep fails
-// recoverably instead of walking the cycle forever.
-var errChain = fmt.Errorf("%w: source-side tree chain does not reach the source", ErrStalled)
+// errChain reports a corrupt R tree: a parent chain that does not reach
+// the source within the node count, or a detached subtree that lists
+// more nodes than the network has (its child links close a cycle). The
+// sweep fails recoverably instead of walking the cycle forever.
+var errChain = fmt.Errorf("%w: source-side tree is corrupt", ErrStalled)
 
 // FaultSweep, when armed by a test, is consulted once per event;
 // returning true fails the sweep with ErrStalled. Nil in production
@@ -855,8 +856,11 @@ func (ws *Workspace) tryAdopt(v int32) bool {
 // sink side, one between two rooted nodes inside R. A detached root's
 // parent is cleared with the unlink: its sibling links go stale at once,
 // and unlinking it a second time through them (on adoption) would cut
-// live children out of the old parent's list.
-func (ws *Workspace) processOrphans(roots []int32) {
+// live children out of the old parent's list. A node is an orphan at
+// most once per repair, so a collection that outgrows the node count
+// walked a cycle of child links: the tree is corrupt, and the repair
+// fails with errChain instead of collecting without end.
+func (ws *Workspace) processOrphans(roots []int32) error {
 	ws.orphEpoch++
 	ep := ws.orphEpoch
 	nodes := ws.region[:0]
@@ -870,6 +874,10 @@ func (ws *Workspace) processOrphans(roots []int32) {
 		nodes = append(nodes, r)
 		for i := len(nodes) - 1; i < len(nodes); i++ {
 			for c := ws.firstKid[nodes[i]]; c >= 0; c = ws.nextSib[c] {
+				if len(nodes) >= ws.nodes {
+					ws.region = nodes
+					return errChain
+				}
 				ws.orph[c] = ep
 				nodes = append(nodes, c)
 			}
@@ -939,6 +947,7 @@ func (ws *Workspace) processOrphans(roots []int32) {
 	if afterRepair != nil {
 		afterRepair(ws, false)
 	}
+	return nil
 }
 
 // classify re-files arc a after one of its endpoints changed sides:
@@ -1213,7 +1222,9 @@ func (ws *Workspace) reopen(a int32, fwd bool) (done bool, err error) {
 			return false, fmt.Errorf("%w: augmentation budget exceeded", ErrStalled)
 		}
 		if len(roots) > 0 {
-			ws.processOrphans(roots)
+			if err := ws.processOrphans(roots); err != nil {
+				return false, err
+			}
 			if !ws.inRf(u) {
 				// The repair evicted the boundary node itself; its
 				// classify pass already re-filed arc a.

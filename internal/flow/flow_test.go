@@ -380,6 +380,37 @@ func TestSweepFaultStalls(t *testing.T) {
 	}
 }
 
+// TestSweepCorruptChildListStalls: a repair collects a detached subtree
+// through the R tree's child lists, so a cycle in one of them must fail
+// the sweep with ErrStalled, as a cycle of parent links does, instead of
+// collecting orphans without end. A repair hook closes such a cycle at
+// the first repair, and the workspace must solve the next network
+// exactly.
+func TestSweepCorruptChildListStalls(t *testing.T) {
+	ws := flow.NewWorkspace()
+	for seed := int64(0); seed < 5; seed++ {
+		for _, n := range []int{40, 120} {
+			nw := randomNetwork(seed, n)
+			corrupted := false
+			restore := flow.WatchRepairs(func(ws *flow.Workspace, joined bool) {
+				if !joined && !corrupted {
+					corrupted = flow.CorruptSiblings(ws)
+				}
+			})
+			nw.build(ws)
+			_, err := ws.Sweep(0, 1, nw.m, nw.phi0)
+			restore()
+			if !corrupted {
+				t.Fatalf("seed %d n=%d: no repair found a child list to corrupt", seed, n)
+			}
+			if !errors.Is(err, flow.ErrStalled) {
+				t.Fatalf("seed %d n=%d: corrupt child list: err=%v, want ErrStalled", seed, n, err)
+			}
+			checkOutcome(t, ws, nw, sweep(t, ws, nw))
+		}
+	}
+}
+
 func TestSweepCanceled(t *testing.T) {
 	nw := crashing(t)
 	ws := flow.NewWorkspace()

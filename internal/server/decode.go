@@ -592,63 +592,145 @@ func fold(key []byte, name string) bool {
 	return true
 }
 
+// number is a scanned number token, read as strconv's readFloat reads
+// it: its first 19 significant digits and the decimal exponent of the
+// last of them, so its value is man·10^exp unless trunc.
+type number struct {
+	man   uint64
+	exp   int
+	neg   bool
+	trunc bool // a nonzero digit past the 19th was dropped
+	point bool // the token has a fraction or an exponent
+}
+
 // number scans a token of the JSON number grammar,
 // -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, which strconv parses
 // exactly as encoding/json does (strconv alone would also take Inf, hex
-// and underscores).
-func (d *requestDecoder) number() []byte {
+// and underscores), and reads its digits in the same pass. Leading zeros
+// of a fraction are not significant, and exponent digits past 10000 are
+// dropped as strconv drops them: the value is then out of every range
+// either way.
+//
+//malsched:noalloc
+func (d *requestDecoder) number() (tok []byte, n number) {
 	d.peek()
 	b, i := d.b, d.i
-	if i < len(b) && b[i] == '-' {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
 		i++
 	}
+	var man uint64
+	exp, nd, trunc := 0, 0, false // nd counts the significant digits in man
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = skipDigits(b, i)
+		j := i
+		i, man, nd, trunc = digits(b, i, 0, 0)
+		exp = i - j - nd // digits past the 19th scale man up
 	default:
 		d.fail()
-		return nil
+		return nil, n
 	}
+	point := false
 	if i < len(b) && b[i] == '.' {
-		j := skipDigits(b, i+1)
-		if j == i+1 {
-			d.fail()
-			return nil
-		}
-		i = j
-	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
 		i++
-		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+		j := i
+		if nd == 0 {
+			for i < len(b) && b[i] == '0' {
+				i++
+			}
+		}
+		exp -= i - j
+		nd0, dropped := nd, false
+		i, man, nd, dropped = digits(b, i, man, nd)
+		if i == j {
+			d.fail()
+			return nil, n
+		}
+		exp -= nd - nd0
+		trunc = trunc || dropped
+		point = true
+	}
+	if i < len(b) && b[i]|0x20 == 'e' {
+		i++
+		eneg := i < len(b) && b[i] == '-'
+		if i < len(b) && (b[i] == '+' || eneg) {
 			i++
 		}
-		j := skipDigits(b, i)
-		if j == i {
-			d.fail()
-			return nil
+		j, e := i, 0
+		for ; i < len(b); i++ {
+			c := b[i] - '0'
+			if c > 9 {
+				break
+			}
+			if e < 10000 {
+				e = e*10 + int(c)
+			}
 		}
-		i = j
+		if i == j {
+			d.fail()
+			return nil, n
+		}
+		if eneg {
+			e = -e
+		}
+		exp += e
+		point = true
 	}
-	tok := b[d.i:i]
+	tok = b[d.i:i]
 	d.i = i
-	return tok
+	return tok, number{man: man, exp: exp, neg: neg, trunc: trunc, point: point}
 }
 
-// skipDigits returns the index of the first non-digit in b at or after i.
-func skipDigits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
+// digits reads the digits of b from i on into man, which holds nd
+// significant digits, up to 19 of them. It returns the index past the
+// digits, man and nd, and whether it dropped a nonzero digit.
+//
+//malsched:noalloc
+func digits(b []byte, i int, man uint64, nd int) (int, uint64, int, bool) {
+	trunc := false
+	for ; i < len(b); i++ {
+		c := b[i] - '0'
+		if c > 9 {
+			break
+		}
+		if nd < 19 {
+			man = man*10 + uint64(c)
+			nd++
+		} else {
+			trunc = trunc || c != 0
+		}
 	}
-	return i
+	return i, man, nd, trunc
 }
 
-// float scans a number into a float64; out of range is not canonical.
+// float64 returns n's value when one of strconv's exact fast algorithms
+// decides it, and false when only strconv.ParseFloat can: more than 19
+// significant digits, an exponent outside the table, a halfway case, or
+// a result at the subnormal or overflow edge.
+//
+//malsched:noalloc
+func (n *number) float64() (float64, bool) {
+	if n.trunc {
+		return 0, false
+	}
+	if f, ok := atof64exact(n.man, n.exp, n.neg); ok {
+		return f, true
+	}
+	return eiselLemire64(n.man, n.exp, n.neg)
+}
+
+// float scans a number into a float64: the scan's own value when it is
+// decided, else strconv.ParseFloat's, whose error (out of range) makes
+// the body not canonical.
 func (d *requestDecoder) float() float64 {
-	tok := d.number()
+	tok, n := d.number()
 	if d.bad {
 		return 0
+	}
+	if x, ok := n.float64(); ok {
+		return x
 	}
 	x, err := strconv.ParseFloat(string(tok), 64)
 	if err != nil {
@@ -658,11 +740,19 @@ func (d *requestDecoder) float() float64 {
 }
 
 // int scans a number into an int: a fraction, an exponent or a value out
-// of int's range is not canonical.
+// of int's range is not canonical. Up to 18 digits the scan's own value
+// is exact; 19 or more go to strconv.ParseInt.
 func (d *requestDecoder) int() int {
-	tok := d.number()
-	if d.bad {
+	tok, n := d.number()
+	if d.bad || n.point {
+		d.fail()
 		return 0
+	}
+	if n.exp == 0 && n.man < 1e18 {
+		if n.neg {
+			return -int(n.man)
+		}
+		return int(n.man)
 	}
 	x, err := strconv.ParseInt(string(tok), 10, 64)
 	if err != nil || int64(int(x)) != x {
