@@ -167,7 +167,8 @@ govulncheck:
 # every token) and the min-cut sweep
 # (FuzzSweep: random crashing networks, the source-side tree audited
 # after every join and repair, each answer checked against its
-# network); the corpora under testdata/fuzz (if any) plus 10s of
+# network and against its project-crashing LP solved by internal/lp);
+# the corpora under testdata/fuzz (if any) plus 10s of
 # generated inputs each. Mirrors the CI fuzz-smoke step. Longer local
 # sessions: go test -fuzz FuzzQuantize -fuzztime 5m .
 fuzz-smoke:

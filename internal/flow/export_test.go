@@ -11,18 +11,27 @@ func WatchRepairs(fn func(ws *Workspace, joined bool)) (restore func()) {
 }
 
 // CheckTree audits the R tree of a sweep in progress: every source-side
-// node but the source has a source-side parent, every parent chain
-// reaches the source within the node count, and the child lists hold
-// exactly the source-side nodes, each under its parent, with consistent
-// sibling links.
+// node but the source hangs under a tight arc with residual open towards
+// it from a source-side parent (what makes it reachable), every parent
+// chain reaches the source within the node count, and the child lists
+// hold exactly the source-side nodes, each under its parent, with
+// consistent sibling links.
 func CheckTree(ws *Workspace) error {
 	n := ws.nodes
 	inR := 0
 	for v := int32(0); int(v) < n; v++ {
-		if !ws.inRf(v) {
+		if !ws.inR[v] {
 			continue
 		}
 		inR++
+		if enc := ws.parent[v]; int(v) != ws.src && enc >= 0 {
+			switch {
+			case ws.far(enc) != v:
+				return fmt.Errorf("parent arc %d of node %d does not end there", enc>>1, v)
+			case !ws.tight(enc>>1) || !ws.open(enc):
+				return fmt.Errorf("parent arc %d of node %d is not residual tight", enc>>1, v)
+			}
+		}
 		w := v
 		for k := 0; int(w) != ws.src; k++ {
 			if k >= n {
@@ -31,14 +40,14 @@ func CheckTree(ws *Workspace) error {
 			if ws.parent[w] < 0 {
 				return fmt.Errorf("node %d: chain reaches node %d, which has no parent", v, w)
 			}
-			if w = ws.pnode(w); !ws.inRf(w) {
+			if w = ws.pnode(w); !ws.inR[w] {
 				return fmt.Errorf("node %d: chain leaves the source side at node %d", v, w)
 			}
 		}
 	}
 	kids := 0
 	for p := int32(0); int(p) < n; p++ {
-		if !ws.inRf(p) {
+		if !ws.inR[p] {
 			if c := ws.firstKid[p]; c >= 0 {
 				return fmt.Errorf("sink-side node %d keeps child %d", p, c)
 			}
@@ -52,7 +61,7 @@ func CheckTree(ws *Workspace) error {
 			if ws.prevSib[c] != prev {
 				return fmt.Errorf("node %d: prevSib %d, want %d", c, ws.prevSib[c], prev)
 			}
-			if !ws.inRf(c) || ws.parent[c] < 0 || ws.pnode(c) != p {
+			if !ws.inR[c] || ws.parent[c] < 0 || ws.pnode(c) != p {
 				return fmt.Errorf("node %d listed under %d but its parent disagrees", c, p)
 			}
 			prev = c
@@ -88,19 +97,15 @@ func checkPath(ws *Workspace, start int32) (along, broke bool, err error) {
 		}
 		enc := ws.sPar[w]
 		a := enc >> 1
-		fwd := enc&1 == 0
-		near, far := ws.tail[a], ws.head[a]
-		if !fwd {
-			near, far = far, near
-		}
+		near, far := ws.far(enc^1), ws.far(enc)
 		switch {
 		case far != w:
 			return false, false, fmt.Errorf("path from %d: node %d's step is arc %d, which does not end there", start, w, a)
-		case ws.inRf(near) || ws.inRf(far):
+		case ws.inR[near] || ws.inR[far]:
 			return false, false, fmt.Errorf("path from %d: arc %d touches the source side", start, a)
 		case !ws.tight(a):
 			return false, false, fmt.Errorf("path from %d: arc %d is slack", start, a)
-		case fwd && !ws.fwdOpen(a), !fwd && !ws.bwdOpen(a):
+		case !ws.open(enc):
 			return false, false, fmt.Errorf("path from %d: arc %d has no residual in the path's direction", start, a)
 		case seen[near]:
 			return false, false, fmt.Errorf("path from %d: node %d appears twice", start, near)
@@ -121,11 +126,7 @@ func checkPath(ws *Workspace, start int32) (along, broke bool, err error) {
 			}
 			left = true
 		}
-		if enc&1 == 0 {
-			w = ws.head[enc>>1]
-		} else {
-			w = ws.tail[enc>>1]
-		}
+		w = ws.far(enc)
 	}
 	return along, broke, nil
 }
@@ -138,7 +139,7 @@ func checkPath(ws *Workspace, start int32) (along, broke bool, err error) {
 func CorruptSiblings(ws *Workspace) bool {
 	deepest, depth := int32(-1), -1
 	for p := int32(0); int(p) < ws.nodes; p++ {
-		if !ws.inRf(p) || ws.firstKid[p] < 0 {
+		if !ws.inR[p] || ws.firstKid[p] < 0 {
 			continue
 		}
 		d := 0

@@ -29,10 +29,15 @@
 // cut arc reaching the boundary of its cost piece, a slack arc going
 // critical — is a constant, computed once and kept in a max-heap, while
 // the quantities themselves are stored lazily (an offset against the
-// lambda at which they were last materialised). Popping an event either
-// re-arms the arc on its next piece, or opens residual capacity, in
-// which case flow augments straight through the opened arc — source
-// tree, the arc, a sink-side search beyond it — until it re-saturates.
+// lambda at which they were last materialised). Each event names the
+// traversal of its arc that may open residual capacity. Popping it
+// either re-arms the arc on its next piece, or reopens the traversal:
+// flow augments straight through it — source tree, the arc, a sink-side
+// search beyond it — until it re-saturates. The sweep has no other
+// max-flow step: it starts with the source alone on the source side and
+// reopens each tight arc out of the source, so the first max flow and
+// its cut come from the same augmentations, joins and repairs as every
+// later event.
 // Every node an augmenting path passes remembers the arc the path left
 // it by, and a later sink search follows that memory first, re-checking
 // every step: between two events most of the last path stays tight and
@@ -89,23 +94,21 @@ var afterRepair func(ws *Workspace, joined bool)
 // so the path can be audited against the memory it was found with.
 var afterSearch func(ws *Workspace, start int32)
 
-// Event kinds: a cut arc hitting a piece boundary of its crashing curve
-// (forward = crashing, backward = un-crashing), and a slack arc from
-// the source side becoming critical.
-const (
-	evFwdPiece int8 = iota
-	evBwdPiece
-	evSlack
-)
-
-// event is one pending breakpoint: at lambda = lam, arc arc does
-// something. stamp invalidates the entry lazily: it must still equal
-// the arc's stamp when popped.
+// event is one pending breakpoint: at lambda = lam, the traversal enc
+// of an arc (an adjacency encoding, see adjArc) may open residual
+// capacity. A forward traversal's event is a crashing cut arc reaching
+// the top of its piece (the next piece's higher rate, or +inf once fully
+// crashed, opens forward residual) or a slack arc out of the source side
+// going critical (forward residual opens unless the piece above is flat
+// at zero rate); a backward traversal's is an un-crashing cut arc
+// reaching the bottom of its piece (its flow now exceeds the lower
+// piece's rate, opening reverse residual towards its tail). stamp
+// invalidates the entry lazily: it must still equal the arc's stamp when
+// popped.
 type event struct {
 	lam   float64
-	arc   int32
+	enc   int32
 	stamp int32
-	kind  int8
 }
 
 // Workspace holds the network under construction and every scratch
@@ -155,23 +158,23 @@ type Workspace struct {
 	// for a crashing forward-cut arc, -1 for an un-crashing
 	// backward-cut arc, 0 otherwise; lamEnter the lambda at which the
 	// arc's y was last materialised; arcStamp invalidates heap entries;
-	// inR marks source-side nodes by epoch (rEpoch increments on every
-	// flow rebuild). lamMat is the lambda at which all sink-side
-	// potentials were last materialised.
+	// inR marks the source-side nodes. lamMat is the lambda at which all
+	// sink-side potentials were last materialised.
 	cutDir   []int8
 	lamEnter []float64
 	arcStamp []int32
-	inR      []int32
-	rEpoch   int32
+	inR      []bool
 	heap     []event
 	heapPos  []int32
 
-	// The R tree: parent (below) holds the residual tight arc each
-	// source-side node was reached through, and firstKid/nextSib/prevSib
-	// its children, so a flow change can detach and repair exactly the
-	// subtrees below saturated arcs instead of recomputing R by a graph
-	// search. orph[v] is orphEpoch while v is an orphan of the current
-	// repair round and -orphEpoch once it is adopted back.
+	// The R tree: parent[v] is the residual tight traversal (adjacency
+	// encoding) that source-side node v hangs under, read only while v is
+	// on the source side, and firstKid/nextSib/prevSib its children, so a
+	// flow change can detach and repair exactly the subtrees below
+	// saturated arcs instead of recomputing R by a graph search. orph[v]
+	// is orphEpoch while v is an orphan of the current repair round and
+	// -orphEpoch once it is adopted back.
+	parent    []int32
 	firstKid  []int32
 	nextSib   []int32
 	prevSib   []int32
@@ -200,7 +203,6 @@ type Workspace struct {
 
 	lam, lamMat float64
 	phi, muv    float64
-	msw         float64
 	src, snk    int
 	evBudget    int
 	augBudget   int
@@ -210,9 +212,8 @@ type Workspace struct {
 	adjOff []int32
 	adjArc []int32
 
-	parent []int32 // BFS: adjacency encoding used to reach node; -1 unvisited, -2 root
-	queue  []int32
-	indeg  []int32
+	queue []int32
+	indeg []int32
 
 	tightEps float64
 	bEps     float64
@@ -362,13 +363,6 @@ func (ws *Workspace) pieceDown(a int32) int32 {
 	return k
 }
 
-// sigUp is the marginal crashing cost of arc a at its materialised y.
-func (ws *Workspace) sigUp(a int32) float64 { return ws.sU[a] }
-
-// sigDown is the marginal un-crashing saving of arc a at its
-// materialised y.
-func (ws *Workspace) sigDown(a int32) float64 { return ws.sD[a] }
-
 // refreshSig recomputes the cached marginal rates after y moved.
 func (ws *Workspace) refreshSig(a int32) {
 	if k := ws.pieceUp(a); k >= 0 {
@@ -461,29 +455,25 @@ func (ws *Workspace) longestPaths() error {
 	return nil
 }
 
-// inRf reports whether v is on the source side of the current cut.
-func (ws *Workspace) inRf(v int32) bool { return ws.inR[v] == ws.rEpoch }
-
-// tRealOut returns the real potential of a sink-side node (sink-side
-// potentials fall 1:1 with lambda and are stored lazily against lamMat).
-func (ws *Workspace) tRealOut(v int32) float64 { return ws.t[v] - (ws.lamMat - ws.lam) }
-
 // join moves v onto the source side, materialising its potential
 // (source-side potentials no longer move).
 func (ws *Workspace) join(v int32) {
 	ws.t[v] -= ws.lamMat - ws.lam
-	ws.inR[v] = ws.rEpoch
+	ws.inR[v] = true
+}
+
+// far returns the node traversal enc enters: the head of a forward
+// traversal, the tail of a backward one. far(enc^1) is the node it
+// leaves.
+func (ws *Workspace) far(enc int32) int32 {
+	if enc&1 == 0 {
+		return ws.head[enc>>1]
+	}
+	return ws.tail[enc>>1]
 }
 
 // pnode returns the parent node of v in the R tree.
-func (ws *Workspace) pnode(v int32) int32 {
-	enc := ws.parent[v]
-	a := enc >> 1
-	if enc&1 == 0 {
-		return ws.tail[a]
-	}
-	return ws.head[a]
-}
+func (ws *Workspace) pnode(v int32) int32 { return ws.far(ws.parent[v] ^ 1) }
 
 // linkChild records v as a child of p in the R tree.
 func (ws *Workspace) linkChild(p, v int32) {
@@ -509,7 +499,7 @@ func (ws *Workspace) unlinkChild(p, v int32) {
 
 // realT returns the real potential of any node at the current lambda.
 func (ws *Workspace) realT(v int32) float64 {
-	if ws.inRf(v) {
+	if ws.inR[v] {
 		return ws.t[v]
 	}
 	return ws.t[v] - (ws.lamMat - ws.lam)
@@ -529,7 +519,7 @@ func (ws *Workspace) matArc(a int32) {
 // matAll materialises every lazy quantity at the current lambda.
 func (ws *Workspace) matAll() {
 	for v := int32(0); int(v) < ws.nodes; v++ {
-		if !ws.inRf(v) {
+		if !ws.inR[v] {
 			ws.t[v] -= ws.lamMat - ws.lam
 		}
 	}
@@ -565,10 +555,10 @@ func (ws *Workspace) siftUp(i int) int {
 			break
 		}
 		h[p], h[i] = h[i], h[p]
-		ws.heapPos[h[i].arc] = int32(i)
+		ws.heapPos[h[i].enc>>1] = int32(i)
 		i = p
 	}
-	ws.heapPos[h[i].arc] = int32(i)
+	ws.heapPos[h[i].enc>>1] = int32(i)
 	return i
 }
 
@@ -589,14 +579,14 @@ func (ws *Workspace) siftDown(i int) {
 			break
 		}
 		h[i], h[big] = h[big], h[i]
-		ws.heapPos[h[i].arc] = int32(i)
+		ws.heapPos[h[i].enc>>1] = int32(i)
 		i = big
 	}
-	ws.heapPos[h[i].arc] = int32(i)
+	ws.heapPos[h[i].enc>>1] = int32(i)
 }
 
 func (ws *Workspace) push(e event) {
-	if i := ws.heapPos[e.arc]; i >= 0 {
+	if i := ws.heapPos[e.enc>>1]; i >= 0 {
 		ws.heap[i] = e
 		if at := ws.siftUp(int(i)); at == int(i) {
 			ws.siftDown(at)
@@ -612,37 +602,41 @@ func (ws *Workspace) push(e event) {
 func (ws *Workspace) popValid() (event, bool) {
 	for len(ws.heap) > 0 {
 		top := ws.heap[0]
-		ws.heapPos[top.arc] = -1
+		ws.heapPos[top.enc>>1] = -1
 		last := len(ws.heap) - 1
 		ws.heap[0] = ws.heap[last]
 		ws.heap = ws.heap[:last]
 		if last > 0 {
 			ws.siftDown(0)
 		}
-		if top.stamp == ws.arcStamp[top.arc] {
+		if top.stamp == ws.arcStamp[top.enc>>1] {
 			return top, true
 		}
 	}
 	return event{}, false
 }
 
-// enterCut puts arc a on the cut with the given direction and arms its
-// next piece-boundary event. Callers materialise the arc first.
-func (ws *Workspace) enterCut(a int32, dir int8) {
-	ws.cutDir[a] = dir
+// enterCut puts the arc of traversal enc on the cut — crashing for a
+// forward traversal, un-crashing for a backward one — and arms the event
+// at which that traversal's next piece opens. Callers materialise the
+// arc first.
+func (ws *Workspace) enterCut(enc int32) {
+	a := enc >> 1
 	ws.lamEnter[a] = ws.lam
 	ws.arcStamp[a]++
-	if dir > 0 {
+	if enc&1 == 0 {
+		ws.cutDir[a] = +1
 		if k := ws.pieceUp(a); k >= 0 {
-			ws.push(event{ws.lam - (ws.cum[k] - ws.y[a]), a, ws.arcStamp[a], evFwdPiece})
+			ws.push(event{ws.lam - (ws.cum[k] - ws.y[a]), enc, ws.arcStamp[a]})
 		}
 	} else {
+		ws.cutDir[a] = -1
 		if k := ws.pieceDown(a); k >= 0 {
 			lo := 0.0
 			if k > ws.curveOff[a] {
 				lo = ws.cum[k-1]
 			}
-			ws.push(event{ws.lam - (ws.y[a] - lo), a, ws.arcStamp[a], evBwdPiece})
+			ws.push(event{ws.lam - (ws.y[a] - lo), enc, ws.arcStamp[a]})
 		}
 	}
 }
@@ -653,13 +647,16 @@ func (ws *Workspace) tight(a int32) bool {
 	return ws.t[ws.head[a]]-ws.t[ws.tail[a]]-ws.dur(a) <= ws.tightEps
 }
 
-// residual returns the residual capacity of traversing arc a in the
-// given direction of the tight network (materialised values).
-func (ws *Workspace) residual(a int32, fwd bool) float64 {
-	if fwd {
-		return ws.sigUp(a) - ws.f[a]
+// residual returns the residual capacity of traversal enc in the tight
+// network (materialised values): the marginal crashing rate above y less
+// the flow forward, the flow less the marginal un-crashing saving below
+// y backward.
+func (ws *Workspace) residual(enc int32) float64 {
+	a := enc >> 1
+	if enc&1 == 0 {
+		return ws.sU[a] - ws.f[a]
 	}
-	return ws.f[a] - ws.sigDown(a)
+	return ws.f[a] - ws.sD[a]
 }
 
 // Saturation is judged relative to the rates being compared, never an
@@ -669,139 +666,45 @@ func (ws *Workspace) residual(a int32, fwd bool) float64 {
 // swallow real residuals on the ordinary pieces.
 const satEps = 1e-10
 
-// fwdOpen reports whether arc a has usable forward residual: the
-// marginal crashing rate above y exceeds the flow by more than rounding.
-func (ws *Workspace) fwdOpen(a int32) bool {
-	s := ws.sigUp(a)
-	if math.IsInf(s, 1) {
-		return true
+// open reports whether traversal enc has usable residual: forward, the
+// marginal crashing rate above y exceeds the flow by more than rounding
+// (always once the arc is rigid or fully crashed: sigma+ = +inf, tested
+// as math.IsInf tests it, NaN included); backward, the flow exceeds the
+// marginal un-crashing saving below y.
+func (ws *Workspace) open(enc int32) bool {
+	a := enc >> 1
+	if enc&1 != 0 {
+		return ws.f[a]-ws.sD[a] > satEps*(1+ws.f[a])
 	}
-	return s-ws.f[a] > satEps*(1+s)
+	s := ws.sU[a]
+	return s > math.MaxFloat64 || s-ws.f[a] > satEps*(1+s)
 }
 
-// bwdOpen reports whether arc a has usable backward residual: the flow
-// exceeds the marginal un-crashing saving below y by more than rounding.
-func (ws *Workspace) bwdOpen(a int32) bool {
-	return ws.f[a]-ws.sigDown(a) > satEps*(1+ws.f[a])
+// augment pushes amt units of flow along traversal enc.
+func (ws *Workspace) augment(enc int32, amt float64) {
+	a := enc >> 1
+	if enc&1 == 0 {
+		ws.f[a] += amt
+	} else if ws.f[a] -= amt; ws.f[a] < 0 {
+		ws.f[a] = 0
+	}
 }
 
 // hasFlow reports whether arc a carries numerically meaningful flow.
 func (ws *Workspace) hasFlow(a int32) bool {
-	return ws.f[a] > satEps*(1+ws.sigDown(a))
+	return ws.f[a] > satEps*(1+ws.sD[a])
 }
 
-// bfs searches the tight residual network from src, recording parents.
-// It returns true when snk was reached. Requires materialised values.
-func (ws *Workspace) bfs() bool {
-	for v := 0; v < ws.nodes; v++ {
-		ws.parent[v] = -1
+// adopt hangs orphan far(enc) back under the node enc leaves, adopted
+// in the current repair round.
+func (ws *Workspace) adopt(enc int32) {
+	w := ws.far(enc)
+	if ws.parent[w] >= 0 { // a detached root is in no child list
+		ws.unlinkChild(ws.pnode(w), w)
 	}
-	ws.parent[ws.src] = -2
-	q := ws.queue[:0]
-	q = append(q, int32(ws.src))
-	for qh := 0; qh < len(q); qh++ {
-		u := q[qh]
-		for e := ws.adjOff[u]; e < ws.adjOff[u+1]; e++ {
-			enc := ws.adjArc[e]
-			a := enc >> 1
-			fwd := enc&1 == 0
-			var v int32
-			if fwd {
-				v = ws.head[a]
-			} else {
-				v = ws.tail[a]
-			}
-			if ws.parent[v] != -1 || !ws.tight(a) {
-				continue
-			}
-			if fwd {
-				if !ws.fwdOpen(a) {
-					continue
-				}
-			} else if !ws.bwdOpen(a) {
-				continue
-			}
-			ws.parent[v] = enc
-			if int(v) == ws.snk {
-				ws.queue = q
-				return true
-			}
-			q = append(q, v)
-		}
-	}
-	ws.queue = q
-	return false
-}
-
-// rebuild re-solves the max flow warm from the current flow and rescans
-// the cut. Returns done=true when an infinite-bottleneck augmenting
-// path proved lambda is at its floor.
-func (ws *Workspace) rebuildFull() (done bool, err error) {
-	ws.matAll()
-	for ws.bfs() {
-		bott := math.Inf(1)
-		for v := int32(ws.snk); int(v) != ws.src; {
-			enc := ws.parent[v]
-			a := enc >> 1
-			fwd := enc&1 == 0
-			if r := ws.residual(a, fwd); r < bott {
-				bott = r
-			}
-			if fwd {
-				v = ws.tail[a]
-			} else {
-				v = ws.head[a]
-			}
-		}
-		if math.IsInf(bott, 1) {
-			return true, nil
-		}
-		for v := int32(ws.snk); int(v) != ws.src; {
-			enc := ws.parent[v]
-			a := enc >> 1
-			fwd := enc&1 == 0
-			if fwd {
-				ws.f[a] += bott
-				v = ws.tail[a]
-			} else {
-				ws.f[a] -= bott
-				if ws.f[a] < 0 {
-					ws.f[a] = 0
-				}
-				v = ws.head[a]
-			}
-		}
-		ws.muv += bott
-		ws.Augments++
-		if ws.augBudget--; ws.augBudget < 0 {
-			return false, fmt.Errorf("%w: augmentation budget exceeded", ErrStalled)
-		}
-	}
-
-	// The failed search left R in parent; rescan the crossing arcs and
-	// re-arm the event heap from scratch.
-	ws.rEpoch++
-	for v := 0; v < ws.nodes; v++ {
-		if ws.parent[v] != -1 {
-			ws.inR[v] = ws.rEpoch
-		}
-	}
-	for i := range ws.heap {
-		ws.heapPos[ws.heap[i].arc] = -1
-	}
-	ws.heap = ws.heap[:0]
-	for a := int32(0); int(a) < len(ws.tail); a++ {
-		ws.classify(a)
-	}
-	for v := int32(0); int(v) < ws.nodes; v++ {
-		ws.firstKid[v] = -1
-	}
-	for v := int32(0); int(v) < ws.nodes; v++ {
-		if ws.inRf(v) && int(v) != ws.src {
-			ws.linkChild(ws.pnode(v), v)
-		}
-	}
-	return false, nil
+	ws.parent[w] = enc
+	ws.linkChild(ws.far(enc^1), w)
+	ws.orph[w] = -ws.orphEpoch
 }
 
 // tryAdopt scans orphan v's neighbourhood for a residual tight arc from
@@ -812,33 +715,18 @@ func (ws *Workspace) rebuildFull() (done bool, err error) {
 func (ws *Workspace) tryAdopt(v int32) bool {
 	ep := ws.orphEpoch
 	for e := ws.adjOff[v]; e < ws.adjOff[v+1]; e++ {
-		enc := ws.adjArc[e]
-		a := enc >> 1
-		var u int32
-		if enc&1 != 0 { // v is the head: forward residual from the tail
-			u = ws.tail[a]
-		} else { // v is the tail: backward residual from the head
-			u = ws.head[a]
-		}
+		enc := ws.adjArc[e] // from v; enc^1 is the traversal from u into v
+		u := ws.far(enc)
 		if ws.orph[u] == ep {
 			continue
 		}
-		if !ws.inRf(u) || !ws.tight(a) || (enc&1 != 0 && !ws.fwdOpen(a)) || (enc&1 == 0 && !ws.bwdOpen(a)) {
+		if !ws.inR[u] || !ws.tight(enc>>1) || !ws.open(enc^1) {
 			if ws.orph[u] != -ep {
-				ws.border = append(ws.border, a)
+				ws.border = append(ws.border, enc>>1)
 			}
 			continue
 		}
-		if ws.parent[v] >= 0 { // a detached root is in no child list
-			ws.unlinkChild(ws.pnode(v), v)
-		}
-		if enc&1 != 0 {
-			ws.parent[v] = a << 1
-		} else {
-			ws.parent[v] = a<<1 | 1
-		}
-		ws.linkChild(u, v)
-		ws.orph[v] = -ep
+		ws.adopt(enc ^ 1)
 		return true
 	}
 	return false
@@ -896,30 +784,15 @@ func (ws *Workspace) processOrphans(roots []int32) error {
 		u := q[qh]
 		for e := ws.adjOff[u]; e < ws.adjOff[u+1]; e++ {
 			enc := ws.adjArc[e]
-			a := enc >> 1
-			var w int32
-			if enc&1 == 0 { // u is the tail: forward residual towards the head
-				w = ws.head[a]
-			} else { // u is the head: backward residual towards the tail
-				w = ws.tail[a]
-			}
+			w := ws.far(enc)
 			if ws.orph[w] != ep {
 				continue
 			}
-			if !ws.tight(a) || (enc&1 == 0 && !ws.fwdOpen(a)) || (enc&1 != 0 && !ws.bwdOpen(a)) {
-				ws.border = append(ws.border, a)
+			if !ws.tight(enc>>1) || !ws.open(enc) {
+				ws.border = append(ws.border, enc>>1)
 				continue
 			}
-			if ws.parent[w] >= 0 {
-				ws.unlinkChild(ws.pnode(w), w)
-			}
-			if enc&1 == 0 {
-				ws.parent[w] = a << 1
-			} else {
-				ws.parent[w] = a<<1 | 1
-			}
-			ws.linkChild(u, w)
-			ws.orph[w] = -ep
+			ws.adopt(enc)
 			q = append(q, w)
 		}
 	}
@@ -928,14 +801,13 @@ func (ws *Workspace) processOrphans(roots []int32) error {
 	// Evict the unreachable leftovers and put their potentials back on
 	// the falling sink-side clock: join materialised t[v] at the lambda
 	// of the join, and re-basing against lamMat here re-attaches it to
-	// the shared lazy representation (tRealOut subtracts the drift
+	// the shared lazy representation (realT subtracts the drift
 	// accumulated since lamMat, which is exactly the amount added back).
 	for _, v := range nodes {
 		if ws.orph[v] != ep {
 			continue
 		}
-		ws.inR[v] = -1
-		ws.parent[v] = -1
+		ws.inR[v] = false
 		ws.firstKid[v] = -1
 		ws.t[v] += ws.lamMat - ws.lam
 	}
@@ -960,19 +832,19 @@ func (ws *Workspace) classify(a int32) {
 	} else if ws.heapPos[a] >= 0 {
 		ws.arcStamp[a]++
 	}
-	iu, iv := ws.inRf(ws.tail[a]), ws.inRf(ws.head[a])
+	iu, iv := ws.inR[ws.tail[a]], ws.inR[ws.head[a]]
 	if iu == iv {
 		return
 	}
 	slack := ws.realT(ws.head[a]) - ws.realT(ws.tail[a]) - ws.dur(a)
 	if iu {
 		if slack > ws.tightEps {
-			ws.push(event{ws.lam - slack, a, ws.arcStamp[a], evSlack})
+			ws.push(event{ws.lam - slack, a << 1, ws.arcStamp[a]})
 		} else {
-			ws.enterCut(a, +1)
+			ws.enterCut(a << 1)
 		}
 	} else if slack <= ws.tightEps && ws.hasFlow(a) {
-		ws.enterCut(a, -1)
+		ws.enterCut(a<<1 | 1)
 	}
 }
 
@@ -981,14 +853,23 @@ func (ws *Workspace) classify(a int32) {
 // under residual reachability, so nothing inside it leads to the sink —
 // and sink-side potentials all sit on the same falling clock, so raw t
 // comparisons are consistent throughout. A popped node first follows
-// the remembered path (sNext) for as long as each step passes the same
-// tests the scan applies: between two events most of the last
-// augmenting path stays tight and open, so a successful search mostly
-// walks it instead of searching the sink side again. The nodes the walk
-// passes go back on the stack, so each reached node is still scanned
-// once. The search lists the nodes it reaches in region and every arc it
-// declines — into R, slack, or saturated — on the border, which is what
+// the remembered path (sNext) for as long as each step passes the test
+// the scan applies: between two events most of the last augmenting
+// path stays tight and open, so a successful search mostly walks it
+// instead of searching the sink side again. The nodes the walk passes go
+// back on the stack, so each reached node is still scanned once. The
+// search lists the nodes it reaches in region and every arc it declines
+// — into R, slack, or saturated — on the border, which is what
 // joinRegion needs when the search fails.
+//
+// The walk's tightness test should never refuse a step on its own: a
+// remembered step carried the last path through its near node, and any
+// later path that changed the arc's flow passed that node and rewrote
+// its memory, so the arc still carries the flow that path left (or has
+// no residual in the step's direction, which the open test refuses);
+// and the sweep keeps every arc with flow tight, on the cut when it
+// crosses it. The test stays, so the walk and the scan accept exactly
+// the same steps.
 func (ws *Workspace) sinkSearch(start int32) bool {
 	ws.sEpoch++
 	ep := ws.sEpoch
@@ -1005,18 +886,8 @@ func (ws *Workspace) sinkSearch(start int32) bool {
 			if enc < 0 {
 				break
 			}
-			a := enc >> 1
-			fwd := enc&1 == 0
-			var w int32
-			var slack float64
-			if fwd {
-				w = ws.head[a]
-				slack = ws.t[w] - ws.t[x] - ws.dur(a)
-			} else {
-				w = ws.tail[a]
-				slack = ws.t[x] - ws.t[w] - ws.dur(a)
-			}
-			if ws.sSeen[w] == ep || ws.inRf(w) || slack > ws.tightEps || (fwd && !ws.fwdOpen(a)) || (!fwd && !ws.bwdOpen(a)) {
+			w := ws.far(enc)
+			if ws.sSeen[w] == ep || ws.inR[w] || !ws.tight(enc>>1) || !ws.open(enc) {
 				break
 			}
 			ws.sSeen[w] = ep
@@ -1029,25 +900,14 @@ func (ws *Workspace) sinkSearch(start int32) bool {
 			st = append(st, x)
 			x = w
 		}
-		tx := ws.t[x]
 		for e := ws.adjOff[x]; e < ws.adjOff[x+1]; e++ {
 			enc := ws.adjArc[e]
-			a := enc >> 1
-			fwd := enc&1 == 0
-			var w int32
-			var slack float64
-			if fwd {
-				w = ws.head[a]
-				slack = ws.t[w] - tx - ws.dur(a)
-			} else {
-				w = ws.tail[a]
-				slack = tx - ws.t[w] - ws.dur(a)
-			}
+			w := ws.far(enc)
 			if ws.sSeen[w] == ep {
 				continue
 			}
-			if ws.inRf(w) || slack > ws.tightEps || (fwd && !ws.fwdOpen(a)) || (!fwd && !ws.bwdOpen(a)) {
-				border = append(border, a)
+			if ws.inR[w] || !ws.tight(enc>>1) || !ws.open(enc) {
+				border = append(border, enc>>1)
 				continue
 			}
 			ws.sSeen[w] = ep
@@ -1067,11 +927,11 @@ func (ws *Workspace) sinkSearch(start int32) bool {
 // joinRegion moves the region of a failed sinkSearch onto the source
 // side. The search's visited set is closed under residual reachability
 // outside R and does not hold the sink, so it is exactly the component
-// that the opened arc (enc, into the search's start) connects to R.
-// Each node hangs under the arc the search reached it by. The arcs the
-// search saw leaving the region are re-filed: those into the old R
-// leave the cut, and those towards the sink side go on it or arm their
-// slack event.
+// that the opened traversal (enc, into the search's start) connects to
+// R. Each node hangs under the traversal the search reached it by. The
+// arcs the search saw leaving the region are re-filed: those into the
+// old R leave the cut, and those towards the sink side go on it or arm
+// their slack event.
 func (ws *Workspace) joinRegion(enc int32) {
 	ws.sPar[ws.region[0]] = enc
 	for _, x := range ws.region {
@@ -1087,33 +947,28 @@ func (ws *Workspace) joinRegion(enc int32) {
 	}
 }
 
-// reopen handles residual capacity opening on a boundary arc whose near
-// endpoint u stays in R: it augments straight through the arc — R-tree
-// path src->u, the arc itself, then a sink-side search beyond it —
-// until the arc re-saturates or the far side is exhausted. Only in the
-// latter case does the cut move: the failed search's region joins R as
-// found (joinRegion). The common breakpoint, where one augmenting path
-// re-saturates the arc and the cut barely moves, costs one path instead
-// of flooding and evicting the whole sink side. Every node of an
-// augmenting path, on either side of the arc, remembers in sNext the arc
-// the path left it by, for the next sink search through it to try
-// first; a remembered arc is only a hint, which that search re-checks.
-func (ws *Workspace) reopen(a int32, fwd bool) (done bool, err error) {
-	u, v, aenc := ws.tail[a], ws.head[a], a<<1 // aenc: a's adjacency encoding seen from u
-	if !fwd {
-		u, v, aenc = v, u, aenc|1
-	}
+// reopen handles residual capacity opening on traversal aenc of a
+// boundary arc, from a node u that stays in R: it augments straight
+// through the arc — R-tree path src->u, the arc itself, then a
+// sink-side search beyond it — until the arc re-saturates or the far
+// side is exhausted. Only in the latter case does the cut move: the
+// failed search's region joins R as found (joinRegion). A traversal
+// whose residual is not open (or no longer) goes back on the cut, and
+// a backward one only while its arc still carries flow. The common
+// breakpoint, where one augmenting path re-saturates the arc and the
+// cut barely moves, costs one path instead of flooding and evicting the
+// whole sink side. Every node of an augmenting path, on either side of
+// the arc, remembers in sNext the traversal the path left it by, for
+// the next sink search through it to try first; a remembered step is
+// only a hint, which that search re-checks.
+func (ws *Workspace) reopen(aenc int32) (done bool, err error) {
+	a, u, v := aenc>>1, ws.far(aenc^1), ws.far(aenc)
 	pathOK := false // sink-side sPar path from the previous iteration still usable
 	//malsched:bounded every iteration returns or augments one path; augment counts toward the sweep budget (ErrStalled), polled by the event loop
 	for {
-		if fwd {
-			if !ws.fwdOpen(a) {
-				ws.enterCut(a, +1)
-				return false, nil
-			}
-		} else if !ws.bwdOpen(a) {
-			if ws.hasFlow(a) {
-				ws.enterCut(a, -1)
+		if !ws.open(aenc) {
+			if aenc&1 == 0 || ws.hasFlow(a) {
+				ws.enterCut(aenc)
 			}
 			return false, nil
 		}
@@ -1128,20 +983,10 @@ func (ws *Workspace) reopen(a int32, fwd bool) (done bool, err error) {
 				afterSearch(ws, v)
 			}
 		}
-		bott := ws.residual(a, fwd)
-		for w := int32(ws.snk); w != v; {
-			enc := ws.sPar[w]
-			aa := enc >> 1
-			if enc&1 == 0 {
-				if r := ws.residual(aa, true); r < bott {
-					bott = r
-				}
-				w = ws.tail[aa]
-			} else {
-				if r := ws.residual(aa, false); r < bott {
-					bott = r
-				}
-				w = ws.head[aa]
+		bott := ws.residual(aenc)
+		for w := int32(ws.snk); w != v; w = ws.far(ws.sPar[w] ^ 1) {
+			if r := ws.residual(ws.sPar[w]); r < bott {
+				bott = r
 			}
 		}
 		for w, k := u, 0; int(w) != ws.src; w, k = ws.pnode(w), k+1 {
@@ -1149,71 +994,40 @@ func (ws *Workspace) reopen(a int32, fwd bool) (done bool, err error) {
 			if enc < 0 || k >= ws.nodes {
 				return false, errChain
 			}
-			if r := ws.residual(enc>>1, enc&1 == 0); r < bott {
+			if r := ws.residual(enc); r < bott {
 				bott = r
 			}
 		}
 		if math.IsInf(bott, 1) {
 			return true, nil
 		}
-		if fwd {
-			ws.f[a] += bott
-		} else {
-			ws.f[a] -= bott
-			if ws.f[a] < 0 {
-				ws.f[a] = 0
-			}
-		}
+		ws.augment(aenc, bott)
 		// The path survives for the next iteration unless this augment
 		// saturated one of its own arcs (tree-side bottlenecks leave the
 		// sink side untouched, potentials don't move inside reopen).
 		pathOK = true
 		for w := int32(ws.snk); w != v; {
 			enc := ws.sPar[w]
-			aa := enc >> 1
-			if enc&1 == 0 {
-				ws.f[aa] += bott
-				if !ws.fwdOpen(aa) {
-					pathOK = false
-				}
-				w = ws.tail[aa]
-			} else {
-				ws.f[aa] -= bott
-				if ws.f[aa] < 0 {
-					ws.f[aa] = 0
-				}
-				if !ws.bwdOpen(aa) {
-					pathOK = false
-				}
-				w = ws.head[aa]
+			ws.augment(enc, bott)
+			if !ws.open(enc) {
+				pathOK = false
 			}
+			w = ws.far(enc ^ 1)
 			ws.sNext[w] = enc
 		}
 		ws.sNext[u] = aenc
 		roots := ws.orphList[:0]
 		for w, k := u, 0; int(w) != ws.src; k++ {
-			pe := ws.parent[w]
-			if pe < 0 || k >= ws.nodes {
+			enc := ws.parent[w]
+			if enc < 0 || k >= ws.nodes {
 				return false, errChain
 			}
-			aa := pe >> 1
-			if pe&1 == 0 {
-				ws.f[aa] += bott
-				if !ws.fwdOpen(aa) {
-					roots = append(roots, w)
-				}
-				w = ws.tail[aa]
-			} else {
-				ws.f[aa] -= bott
-				if ws.f[aa] < 0 {
-					ws.f[aa] = 0
-				}
-				if !ws.bwdOpen(aa) {
-					roots = append(roots, w)
-				}
-				w = ws.head[aa]
+			ws.augment(enc, bott)
+			if !ws.open(enc) {
+				roots = append(roots, w)
 			}
-			ws.sNext[w] = pe
+			w = ws.far(enc ^ 1)
+			ws.sNext[w] = enc
 		}
 		ws.orphList = roots
 		ws.muv += bott
@@ -1225,7 +1039,7 @@ func (ws *Workspace) reopen(a int32, fwd bool) (done bool, err error) {
 			if err := ws.processOrphans(roots); err != nil {
 				return false, err
 			}
-			if !ws.inRf(u) {
+			if !ws.inR[u] {
 				// The repair evicted the boundary node itself; its
 				// classify pass already re-filed arc a.
 				return false, nil
@@ -1272,24 +1086,22 @@ func (ws *Workspace) Sweep(src, snk int, m, phi0 float64) (float64, error) {
 		ws.refreshSig(int32(a))
 	}
 	ws.inR = grown(ws.inR, ws.nodes)
+	ws.parent = grown(ws.parent, ws.nodes)
 	ws.firstKid = grown(ws.firstKid, ws.nodes)
 	ws.nextSib = grown(ws.nextSib, ws.nodes)
 	ws.prevSib = grown(ws.prevSib, ws.nodes)
 	ws.orph = grown(ws.orph, ws.nodes)
-	for v := range ws.inR {
-		ws.inR[v] = -1
-		ws.orph[v] = 0
-	}
-	ws.orphEpoch = 0
-	ws.rEpoch = 0
-	ws.parent = grown(ws.parent, ws.nodes)
 	ws.sPar = grown(ws.sPar, ws.nodes)
 	ws.sSeen = grown(ws.sSeen, ws.nodes)
 	ws.sNext = grown(ws.sNext, ws.nodes)
-	for v := range ws.sSeen {
+	for v := range ws.inR {
+		ws.inR[v] = false
+		ws.firstKid[v] = -1
+		ws.orph[v] = 0
 		ws.sSeen[v] = 0
 		ws.sNext[v] = -1
 	}
+	ws.orphEpoch = 0
 	ws.sEpoch = 0
 	// A move holds each node and each arc at most once, and a sink
 	// search's stack each node at most once: sized up front, the three
@@ -1302,7 +1114,7 @@ func (ws *Workspace) Sweep(src, snk int, m, phi0 float64) (float64, error) {
 	for a := range ws.heapPos {
 		ws.heapPos[a] = -1
 	}
-	ws.src, ws.snk, ws.msw = src, snk, m
+	ws.src, ws.snk = src, snk
 	ws.buildAdj()
 	if err := ws.longestPaths(); err != nil {
 		return 0, err
@@ -1333,11 +1145,29 @@ func (ws *Workspace) Sweep(src, snk int, m, phi0 float64) (float64, error) {
 		return ws.phi / m, nil
 	}
 
-	if done, err := ws.rebuildFull(); err != nil {
-		return 0, err
-	} else if done {
-		ws.Lambda, ws.Phi = ws.lam, ws.phi
-		return math.Max(ws.lam, ws.phi/m), nil
+	// The first max flow: R is the source alone, and each arc at the
+	// source is reopened when it is a tight arc out of it, as a popped
+	// event would be, or filed like any arc whose endpoint joins R; one
+	// whose far end joined through an earlier arc lies inside R. The
+	// joins file every other arc leaving R, and augmenting paths stay
+	// outside R, so once the loop ends no open tight arc leaves R: the
+	// flow is maximal and R its cut. Nothing is lazy yet, so an
+	// infinite-bottleneck path ends the sweep with y = 0.
+	ws.inR[src] = true
+	for e := ws.adjOff[src]; e < ws.adjOff[src+1]; e++ {
+		enc := ws.adjArc[e]
+		switch {
+		case ws.inR[ws.far(enc)]:
+		case enc&1 == 0 && ws.tight(enc>>1):
+			if done, err := ws.reopen(enc); err != nil {
+				return 0, err
+			} else if done {
+				ws.Lambda, ws.Phi = ws.lam, ws.phi
+				return math.Max(ws.lam, ws.phi/m), nil
+			}
+		default:
+			ws.classify(enc >> 1)
+		}
 	}
 
 	for {
@@ -1365,50 +1195,16 @@ func (ws *Workspace) Sweep(src, snk int, m, phi0 float64) (float64, error) {
 		if ws.evBudget--; ws.evBudget < 0 {
 			return 0, fmt.Errorf("%w: event budget exceeded", ErrStalled)
 		}
-
-		a := e.arc
-		var opened, fdir bool
-		switch e.kind {
-		case evSlack:
-			// The arc just went critical (f=0 on a previously slack
-			// arc): residual sigma+ opens unless the piece above is
-			// flat at zero rate.
-			ws.arcStamp[a]++
-			if ws.fwdOpen(a) {
-				opened, fdir = true, true
-			} else {
-				ws.enterCut(a, +1)
-			}
-		case evFwdPiece:
-			// A crashing cut arc hit the top of its piece: the next
-			// piece's higher rate opens residual unless rates are
-			// within tolerance; a fully crashed arc opens infinite
-			// residual (it leaves the cut for good).
-			ws.matArc(a)
-			if ws.fwdOpen(a) {
-				opened, fdir = true, true
-			} else {
-				ws.enterCut(a, +1)
-			}
-		case evBwdPiece:
-			// An un-crashing cut arc hit the bottom of its piece: the
-			// flow now exceeds the lower piece's rate, opening reverse
-			// residual towards its tail.
-			ws.matArc(a)
-			if ws.bwdOpen(a) {
-				opened, fdir = true, false
-			} else if ws.hasFlow(a) {
-				ws.enterCut(a, -1)
-			}
-		}
-		if opened {
-			if done, err := ws.reopen(a, fdir); err != nil {
-				return 0, err
-			} else if done {
-				ws.matAll()
-				ws.Lambda, ws.Phi = ws.lam, ws.phi
-				return math.Max(ws.lam, ws.phi/m), nil
-			}
+		// Materialise the arc (a slack arc is on no cut: only its stamp
+		// moves) and reopen the traversal its event names; reopen puts a
+		// traversal whose residual did not open back on the cut.
+		ws.matArc(e.enc >> 1)
+		if done, err := ws.reopen(e.enc); err != nil {
+			return 0, err
+		} else if done {
+			ws.matAll()
+			ws.Lambda, ws.Phi = ws.lam, ws.phi
+			return math.Max(ws.lam, ws.phi/m), nil
 		}
 	}
 }

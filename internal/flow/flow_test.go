@@ -11,6 +11,7 @@ import (
 	"malsched/internal/cancelflag"
 	"malsched/internal/flow"
 	"malsched/internal/gen"
+	"malsched/internal/lp"
 )
 
 // network is a random project-crashing network: each task is a
@@ -164,20 +165,82 @@ func checkOutcome(t testing.TB, ws *flow.Workspace, nw *network, out outcome) {
 	if cost := ws.CrashCost(); math.Abs(out.phi-nw.phi0-cost) > 1e-6*(1+out.phi) {
 		t.Errorf("phi-phi0=%v, crash amounts cost %v", out.phi-nw.phi0, cost)
 	}
+	for j, y := range out.y {
+		if y < -1e-9 || y > nw.base[j] {
+			t.Fatalf("task %d: crash amount %v outside [0, %v]", j, y, nw.base[j])
+		}
+	}
+	if path := nw.criticalPath(out.y); math.Abs(path-out.lambda) > tol {
+		t.Errorf("critical path %v under the crash amounts, lambda %v", path, out.lambda)
+	}
+}
+
+// criticalPath returns the longest path through the task DAG when task
+// j takes base[j]-y[j] (y nil: uncrashed).
+func (nw *network) criticalPath(y []float64) float64 {
 	finish := make([]float64, nw.n)
 	path := 0.0
 	for j := 0; j < nw.n; j++ { // task indices are a topological order
-		if out.y[j] < -1e-9 || out.y[j] > nw.base[j] {
-			t.Fatalf("task %d: crash amount %v outside [0, %v]", j, out.y[j], nw.base[j])
+		d := nw.base[j]
+		if y != nil {
+			d -= y[j]
 		}
-		finish[j] += nw.base[j] - out.y[j]
+		finish[j] += d
 		path = math.Max(path, finish[j])
 		for _, s := range nw.succs[j] {
 			finish[s] = math.Max(finish[s], finish[j])
 		}
 	}
-	if math.Abs(path-out.lambda) > tol {
-		t.Errorf("critical path %v under the crash amounts, lambda %v", path, out.lambda)
+	return path
+}
+
+// checkOptimal solves the network's project-crashing LP with the simplex
+// of internal/lp, which shares no code with the sweep, and requires the
+// sweep's C within 1e-9 relative of its optimum. The LP minimises C
+// subject to C >= every sink task's finish time, m*C >= phi0 plus the
+// crashing cost, each task finishing at least its crashed duration (base
+// less its pieces) after each predecessor's finish, or after 0 without
+// one, and each piece in [0, width].
+func checkOptimal(t testing.TB, nw *network, out outcome) {
+	t.Helper()
+	p := lp.NewProblem()
+	c := p.AddVar("C")
+	p.SetObj(c, 1)
+	cost := []lp.Term{{Var: c, Coef: nw.m}}
+	finish := make([]int, nw.n)
+	crash := make([][]lp.Term, nw.n) // +1 per piece of task j
+	for j := 0; j < nw.n; j++ {
+		finish[j] = p.AddVar("finish")
+		for k, w := range nw.widths[j] {
+			y := p.AddVar("piece")
+			p.SetBounds(y, 0, w)
+			crash[j] = append(crash[j], lp.Term{Var: y, Coef: 1})
+			cost = append(cost, lp.Term{Var: y, Coef: -nw.rates[j][k]})
+		}
+	}
+	p.AddConstraint(lp.GE, nw.phi0, cost...)
+	hasPred := make([]bool, nw.n)
+	for j := 0; j < nw.n; j++ {
+		for _, s := range nw.succs[j] {
+			hasPred[s] = true
+			row := append([]lp.Term{{Var: finish[s], Coef: 1}, {Var: finish[j], Coef: -1}}, crash[s]...)
+			p.AddConstraint(lp.GE, nw.base[s], row...)
+		}
+		if len(nw.succs[j]) == 0 {
+			p.AddConstraint(lp.GE, 0, lp.Term{Var: c, Coef: 1}, lp.Term{Var: finish[j], Coef: -1})
+		}
+	}
+	for j := 0; j < nw.n; j++ {
+		if !hasPred[j] {
+			p.AddConstraint(lp.GE, nw.base[j], append([]lp.Term{{Var: finish[j], Coef: 1}}, crash[j]...)...)
+		}
+	}
+	sol, err := p.Solve()
+	if err != nil {
+		t.Fatalf("project-crashing LP: %v", err)
+	}
+	if math.Abs(out.c-sol.Obj) > 1e-9*math.Abs(sol.Obj) {
+		t.Errorf("sweep C=%v, project-crashing LP %v (%.3g relative)", out.c, sol.Obj, math.Abs(out.c-sol.Obj)/math.Abs(sol.Obj))
 	}
 }
 
@@ -233,7 +296,12 @@ func (au *sweepAudit) exercised(t testing.TB) {
 
 // TestSweepTreeInvariants audits the source-side tree after every join
 // and every repair, and every path a sink search finds, on random deep
-// networks, and each sweep's answer against its network.
+// networks, and each sweep's answer against its network and against the
+// network's project-crashing LP. Most of these networks end where lambda
+// can fall no further, where C is the fully crashed critical path
+// whatever the rates; each is swept again with its stopping line at 1.5
+// phi0 over the uncrashed path, which ends most of them on the line, so
+// the LP checks the crashing costs too.
 // TestSweepHangRegression runs the same audits on the instance whose
 // repair once corrupted the tree.
 func TestSweepTreeInvariants(t *testing.T) {
@@ -242,11 +310,16 @@ func TestSweepTreeInvariants(t *testing.T) {
 	ws := flow.NewWorkspace()
 	for trial := 0; trial < 60; trial++ {
 		nw := randomNetwork(int64(trial), 20+trial*2)
-		out := sweep(t, ws, nw)
-		if au.broken != nil {
-			t.Fatalf("trial %d: %v", trial, au.broken)
+		line := *nw
+		line.m = 1.5 * nw.phi0 / nw.criticalPath(nil)
+		for _, nw := range []*network{nw, &line} {
+			out := sweep(t, ws, nw)
+			if au.broken != nil {
+				t.Fatalf("trial %d, m=%v: %v", trial, nw.m, au.broken)
+			}
+			checkOutcome(t, ws, nw, out)
+			checkOptimal(t, nw, out)
 		}
-		checkOutcome(t, ws, nw, out)
 	}
 	au.exercised(t)
 }
@@ -256,19 +329,24 @@ func TestSweepTreeInvariants(t *testing.T) {
 // several tree arcs at once, and odd sizes build internal/allot's merged
 // layout, where tasks start at the source or at a predecessor's end —
 // auditing the tree after every join and repair and every path a sink
-// search finds, and checks the answer against its network. Its seeds
-// between them must exercise every audit; a fuzzed input, which may be
-// too small for any, has only to pass them.
+// search finds, and checks the answer against its network and against
+// the network's project-crashing LP. Its seeds between them must
+// exercise every audit; a fuzzed input, which may be too small for any,
+// has only to pass them. Most seeds end where lambda can fall no
+// further; {104, 5} starts work-bound and {5, 4} ends on the stopping
+// line, so the LP checks both other exits too.
 func FuzzSweep(f *testing.F) {
 	au, restore := watchSweep()
 	ws := flow.NewWorkspace()
 	for _, c := range []struct {
 		seed int64
 		size int
-	}{{0, 20}, {1, 40}, {3, 1}, {9, 120}, {308, 200}, {2, 61}, {5, 151}} {
+	}{{0, 20}, {1, 40}, {3, 1}, {9, 120}, {308, 200}, {2, 61}, {5, 151}, {104, 5}, {5, 4}} {
 		f.Add(c.seed, c.size)
 		nw := fuzzNetwork(c.seed, c.size)
-		checkOutcome(f, ws, nw, sweep(f, ws, nw))
+		out := sweep(f, ws, nw)
+		checkOutcome(f, ws, nw, out)
+		checkOptimal(f, nw, out)
 	}
 	restore()
 	if au.broken != nil {
@@ -285,6 +363,7 @@ func FuzzSweep(f *testing.F) {
 			t.Fatal(au.broken)
 		}
 		checkOutcome(t, ws, nw, out)
+		checkOptimal(t, nw, out)
 	})
 }
 
