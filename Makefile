@@ -164,10 +164,13 @@ govulncheck:
 # never get a 500), the request decoder (FuzzDecodeV2: the same error
 # and value as encoding/json on every body), its number conversions
 # (FuzzDecodeNumber: the same decision and float64 bits as strconv on
-# every token) and the min-cut sweep
+# every token), the min-cut sweep
 # (FuzzSweep: random crashing networks, the source-side tree audited
 # after every join and repair, each answer checked against its
-# network and against its project-crashing LP solved by internal/lp);
+# network and against its project-crashing LP solved by internal/lp)
+# and the lazy simplex (FuzzLP: random bounded LPs through the cut
+# loop's solve, append, re-solve and polish, checked against a fresh
+# solve and the dense tableau, then hot-started on edited numbers);
 # the corpora under testdata/fuzz (if any) plus 10s of
 # generated inputs each. Mirrors the CI fuzz-smoke step. Longer local
 # sessions: go test -fuzz FuzzQuantize -fuzztime 5m .
@@ -179,6 +182,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeV2$$' -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNumber$$' -fuzztime=10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzSweep$$' -fuzztime=10s ./internal/flow
+	$(GO) test -run '^$$' -fuzz '^FuzzLP$$' -fuzztime=10s ./internal/lp
 
 ci: lint lint-selftest staticcheck govulncheck build linkcheck race bench-module fuzz-smoke chaos
 	$(GO) test -run '^$$' -bench '$(BENCH_SMOKE)' -benchtime=1x -benchmem .

@@ -202,10 +202,13 @@ func SolveLPFormulation(in *Instance, ws *Workspace, f Formulation) (*Fractional
 // basis (lp.SolveHotWith) instead of the endpoint seeds from the crash
 // basis (lp.SolveWith). So a snapshot that fits in keeps the auto route
 // on lazy, and a mincut pin ignores it. A snapshot that does not fit,
-// and a warm attempt that fails with anything but cancellation (a
-// transplanted basis can turn singular on the edited values), restart
-// the solve cold under the same pin — the auto route asks UseMincut
-// again — so a warm start never fails where the cold solve succeeds.
+// and a warm attempt that fails with anything but cancellation (lp's hot
+// start rejects a basis whose layout does not match the replayed rows,
+// and a transplanted basis can turn singular on the edited values),
+// restart the solve cold under the same pin — the auto route asks
+// UseMincut again — so a warm start never fails where the cold solve
+// succeeds. This is the warm start's only cold restart: lp.SolveHotWith
+// has none of its own.
 func SolveLPFrom(in *Instance, ws *Workspace, f Formulation, snap *LPSnapshot) (*Fractional, error) {
 	if err := in.Validate(); err != nil {
 		return nil, err
@@ -260,12 +263,12 @@ func SolveLPFrom(in *Instance, ws *Workspace, f Formulation, snap *LPSnapshot) (
 // it: a fitting snapshot's replayed cut log from its transplanted basis,
 // or, cold, the two endpoint supporting lines of every task — tying wbar_j
 // to the work function at both extremes of the domain, the steep end on
-// the last representative segment — from the crash basis.
+// the last representative segment — from the crash basis. Like every lp
+// solve it returns an optimum of the perturbed costs: the LP is massively
+// degenerate, its intermediate solutions only steer cut selection, and
+// runCutLoop polishes once, at the end. A failed hot start is an error
+// here, and SolveLPFrom restarts cold.
 func (ws *Workspace) startLazy(p *lp.Problem, fronts []malleable.Frontier, snap *LPSnapshot) (*lp.Solution, error) {
-	// The LP is massively degenerate, so the solver runs cost-perturbed
-	// throughout the cut loop (intermediate solutions only steer cut
-	// selection) and the perturbation is polished away once, at the end.
-	ws.LP.DeferPolish = true
 	var sol *lp.Solution
 	var err error
 	if snap != nil {
@@ -433,10 +436,12 @@ func (ws *Workspace) logCut(p *lp.Problem, f *malleable.Frontier, j, s, n int) {
 // perturbed solve: while some task's work variable sits below its work
 // function at the current optimum, add the most violated missing
 // supporting lines per offending task and re-optimise warm with the dual
-// simplex. Every round adds at least one of the finitely many lines, so
-// the iteration is monotone and terminates; the cap is a pure safety net.
-// Convergence is confirmed on the polished (exact) optimum: polishing can
-// move the solution to a vertex that violates lines the perturbed point
+// simplex, still on the perturbed costs. Every round adds at least one of
+// the finitely many lines, so the iteration is monotone and terminates;
+// the cap is a pure safety net. Only the last step needs the exact
+// optimum, so the loop calls PolishWith once no line is violated, and
+// confirms convergence on the polished point: polishing can move the
+// solution to a vertex that violates lines the perturbed point
 // satisfied, so the loop re-checks and, if needed, keeps cutting.
 func (ws *Workspace) runCutLoop(p *lp.Problem, fronts []malleable.Frontier, sol *lp.Solution, m int) (*lp.Solution, int, int, error) {
 	cuts, rounds := 0, 0

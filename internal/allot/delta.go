@@ -7,7 +7,9 @@
 // crash basis. This is the serving layer's delta path: an edited DAG
 // re-solves in a handful of pivots instead of a cold solve. The snapshot
 // only moves the start; the cut loop and the optimum it reaches are the
-// cold solve's.
+// cold solve's. A start lp rejects — a basis whose layout does not match
+// the replayed rows, or one that turns singular on the edited values —
+// fails, and SolveLPFrom restarts the solve cold from the seeds.
 //
 // Snapshots only exist for the lazy-cut formulation: the min-cut sweep
 // keeps no basis, so callers wanting a snapshot pin the lazy route

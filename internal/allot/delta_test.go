@@ -123,7 +123,8 @@ func TestSolveLPDeltaChained(t *testing.T) {
 }
 
 // TestSolveLPDeltaMismatchFallsBack: snapshot/instance mismatches must
-// degrade to a correct cold solve, never fail or mis-solve.
+// degrade to a correct cold solve, never fail or mis-solve — whether fits
+// turns the snapshot away or lp's hot start rejects its layout.
 func TestSolveLPDeltaMismatchFallsBack(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := buildDAG("outtree", 12, 0.2, rng)
@@ -164,6 +165,36 @@ func TestSolveLPDeltaMismatchFallsBack(t *testing.T) {
 	corrupt.Cuts = append([]allot.CutRef(nil), good.Cuts...)
 	corrupt.Cuts[0] = allot.CutRef{Task: int32(len(in.Tasks) + 3), Seg: 0}
 	check("out-of-range cut task", &corrupt)
+
+	// A snapshot of another DAG with the same task count and machine size
+	// fits (same variable layout, every logged cut names a task with
+	// supporting lines), but its base rows differ from the out-tree's, so
+	// the replayed rows do not match its basis: lp's hot start rejects the
+	// layout and SolveLPFrom restarts from the seeds.
+	cws := allot.NewWorkspace()
+	chain := gen.Instance(buildDAG("chain", len(in.Tasks), 0, rng), gen.FamilyMixed, in.M, rng)
+	if _, err := allot.SolveLPFormulation(chain, cws, allot.FormulationLazy); err != nil {
+		t.Fatal(err)
+	}
+	foreign := cws.CaptureLP(chain)
+	baseRows := func(s *allot.LPSnapshot) int { return s.Basis.NRows - len(s.Cuts) }
+	if !foreign.Fits(in) || baseRows(foreign) == baseRows(good) {
+		t.Fatalf("chain snapshot fits=%v with %d base rows against %d: the case no longer reaches lp's layout check",
+			foreign.Fits(in), baseRows(foreign), baseRows(good))
+	}
+	check("other DAG's base rows", foreign)
+	pinned := allot.NewWorkspace()
+	got, err := allot.SolveLPFrom(in, pinned, allot.FormulationLazy, foreign)
+	if err != nil {
+		t.Fatalf("lazy pin: %v", err)
+	}
+	if math.Abs(got.C-cold.C) > 1e-6*(1+math.Abs(cold.C)) {
+		t.Errorf("lazy pin: C=%v != cold C=%v", got.C, cold.C)
+	}
+	if got.Formulation != allot.FormulationLazy || pinned.CaptureLP(in) == nil {
+		t.Errorf("lazy pin: restart ran %q and captured %v, want lazy with a snapshot",
+			got.Formulation, pinned.CaptureLP(in) != nil)
+	}
 }
 
 // TestSolveLPDeltaCollapsedFrontier: an edit that collapses a task's

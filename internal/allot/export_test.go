@@ -69,3 +69,6 @@ func solveLPMincutUncontracted(in *Instance, ws *Workspace, fronts []malleable.F
 	}
 	return out, nil
 }
+
+// Fits reports whether snap can start the lazy solve of in.
+func (snap *LPSnapshot) Fits(in *Instance) bool { return snap.fits(in, in.Frontiers()) }

@@ -39,10 +39,6 @@ func SolveLP10With(in *Instance, ws *Workspace) (*Fractional, error) {
 	}
 	n := in.G.N()
 	fronts := ws.frontiers(in)
-	// SolveLPWith leaves DeferPolish set on a shared workspace; this path
-	// solves once and returns the optimum directly, so the perturbation
-	// must be polished away inside the call.
-	ws.LP.DeferPolish = false
 
 	// Deterministic variable layout: C_j = j, then one contiguous block of
 	// assignment variables per task starting at offs[j] (one per frontier
@@ -110,7 +106,11 @@ func SolveLP10With(in *Instance, ws *Workspace) (*Fractional, error) {
 	workTerms = append(workTerms, lp.Term{Var: vC, Coef: -float64(in.M)})
 	p.AddConstraint(lp.LE, 0, workTerms...)
 
+	// One solve, so its perturbed optimum is polished right away.
 	sol, err := p.SolveWith(&ws.LP)
+	if err == nil {
+		sol, err = p.PolishWith(&ws.LP)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("allot: LP (10) failed: %w", err)
 	}

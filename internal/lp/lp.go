@@ -18,7 +18,14 @@
 // implicitly (SetBounds) so domain rows never enter the constraint
 // matrix. ReSolveWith warm-starts from the previous optimal basis with
 // the dual simplex after rows were appended, which is what the lazy cut
-// loop in internal/allot runs on.
+// loop in internal/allot runs on, and SolveHotWith starts from a basis
+// transplanted from another problem of the same layout.
+//
+// Against the allotment LP's massive degeneracy these solves optimise
+// cost-perturbed objectives and leave the perturbation in place, so an
+// iterating caller can steer by near-optimal answers and pay for the
+// exact one once: PolishWith removes the perturbation, and Solve does
+// both.
 //
 // The original dense two-phase tableau solver is retained as SolveDense /
 // SolveDenseWith (see dense.go): it is the differential-testing reference
@@ -215,11 +222,16 @@ func grow[T any](s []T, n int) []T {
 	return make([]T, n, c)
 }
 
-// Solve runs the sparse revised simplex and returns an optimal solution.
-// The returned Solution owns its X slice: it does not alias any solver
-// state and stays valid indefinitely. The problem is left unmodified.
+// Solve runs the sparse revised simplex and returns an exact optimal
+// solution: SolveWith on a fresh workspace, then PolishWith. The returned
+// Solution owns its X slice: it does not alias any solver state and stays
+// valid indefinitely. The problem is left unmodified.
 func (p *Problem) Solve() (*Solution, error) {
-	sol, err := p.SolveWith(NewWorkspace())
+	ws := NewWorkspace()
+	if _, err := p.SolveWith(ws); err != nil {
+		return nil, err
+	}
+	sol, err := p.PolishWith(ws)
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,7 @@
 //
 // The basis is a sparse LU factorization (lu.go) amended by a
 // product-form eta file: each pivot appends one eta vector and the basis
-// is refactorized after RefactorEvery etas or on numerical trouble. The
+// is refactorized after 128 etas or on numerical trouble. The
 // per-iteration linear algebra is hypersparse: FTRAN of the entering
 // column and BTRAN of the leaving unit vector track their nonzero
 // patterns through DFS-reach triangular solves, so an iteration costs
@@ -36,6 +36,14 @@
 // and dual pivots restore feasibility without restarting from scratch;
 // its leaving-row choice scans an incrementally maintained set of
 // bound-violating basis positions instead of all m rows.
+//
+// The entry points share one lifecycle: load (build, scale, size the
+// columns, set the bounds), a start — the crash basis and phase 1
+// (SolveWith), appended logicals and the dual simplex (ReSolveWith), or a
+// transplanted basis with bound shifting (SolveHotWith, warm.go) — and
+// finish (refactorize, record the basis, extract). Each returns an
+// optimum of the perturbed costs; PolishWith is the one place the
+// perturbation is removed.
 
 package lp
 
@@ -60,7 +68,7 @@ const (
 	degenTol = 1e-9 // step lengths below this count as degenerate
 	// perturbScale sizes the anti-degeneracy cost perturbation of
 	// perturbCosts: large enough to beat the 1e-9 pricing tolerance by
-	// orders of magnitude, small enough that polish converges in a few
+	// orders of magnitude, small enough that PolishWith converges in a few
 	// pivots.
 	perturbScale = 1e-7
 	// priceBucket is the partial-pricing granularity: price scans whole
@@ -79,21 +87,6 @@ const (
 // near-zero allocation. A Workspace is owned by one goroutine at a time;
 // it is not safe for concurrent use.
 type Workspace struct {
-	// RefactorEvery caps the eta-file length before the basis is
-	// refactorized from scratch; 0 means the default (128, the sweet spot
-	// measured on the phase-1 workloads). Tests lower it to exercise the
-	// refactorization path densely.
-	RefactorEvery int
-
-	// DeferPolish leaves the anti-degeneracy cost perturbation in place
-	// when SolveWith/ReSolveWith return, deferring its removal to an
-	// explicit PolishWith call. Solutions returned in between are optimal
-	// for the perturbed costs only (objective error O(perturbScale));
-	// iterating callers — the lazy cut loop in internal/allot — use them
-	// to select cuts and polish once at the end instead of re-fighting
-	// the degenerate final pivots every round.
-	DeferPolish bool
-
 	// Cancel, when non-nil, is polled by the primal and dual pivot loops
 	// (every pivot — an atomic load against pivots costing hundreds of
 	// microseconds at scale) and aborts the solve with ErrCanceled once
@@ -205,15 +198,21 @@ type Workspace struct {
 	shiftIdx []int32
 	shiftBnd []float64
 
+	// refactorEvery caps the eta-file length before the basis is
+	// refactorized from scratch; 0 means the default (128, the sweet spot
+	// measured on the phase-1 workloads). Tests lower it to exercise the
+	// refactorization path densely.
+	refactorEvery int
+
 	// Bookkeeping.
 	stats      Stats
 	degen      int
 	bland      bool
 	solvedVars int
-	solvedRows int // rows absorbed by the last successful solve; -1 = none
+	solvedRows int // rows of the last successful solve's basis (no artificials); -1 = none
 	// perturbed tracks whether the current cost vector carries the
 	// anti-degeneracy perturbation: set by perturbCosts, cleared by
-	// polish. ReSolveWith only re-perturbs while still in the perturbed
+	// PolishWith. ReSolveWith only re-perturbs while still in the perturbed
 	// regime — re-perturbing a polished basis forces the dual restart to
 	// re-fight every degenerate tie the polish just resolved, measured as
 	// thousands of extra pivots per late cut round.
@@ -300,22 +299,7 @@ func (ws *Workspace) computeScales(p *Problem, oldRows int) {
 		}
 		for round := 0; round < 2; round++ {
 			for i := range p.cons {
-				lo, hi := math.Inf(1), 0.0
-				for _, t := range p.cons[i].terms {
-					if t.Coef == 0 {
-						continue
-					}
-					a := math.Abs(t.Coef) * ws.colScale[t.Var]
-					if a < lo {
-						lo = a
-					}
-					if a > hi {
-						hi = a
-					}
-				}
-				if hi > 0 {
-					ws.rowScale[i] = 1 / math.Sqrt(lo*hi)
-				}
+				ws.scaleRow(p, i)
 			}
 			for j := 0; j < n; j++ {
 				lo, hi := math.Inf(1), 0.0
@@ -339,23 +323,30 @@ func (ws *Workspace) computeScales(p *Problem, oldRows int) {
 		return
 	}
 	for i := oldRows; i < m; i++ {
-		lo, hi := math.Inf(1), 0.0
-		for _, t := range p.cons[i].terms {
-			if t.Coef == 0 {
-				continue
-			}
-			a := math.Abs(t.Coef) * ws.colScale[t.Var]
-			if a < lo {
-				lo = a
-			}
-			if a > hi {
-				hi = a
-			}
-		}
 		ws.rowScale[i] = 1
-		if hi > 0 {
-			ws.rowScale[i] = 1 / math.Sqrt(lo*hi)
+		ws.scaleRow(p, i)
+	}
+}
+
+// scaleRow sets row i's scale to the geometric mean 1/sqrt(min·max) of
+// its nonzero |a_ij|·colScale_j under the current column scales; a row
+// without a nonzero keeps its scale.
+func (ws *Workspace) scaleRow(p *Problem, i int) {
+	lo, hi := math.Inf(1), 0.0
+	for _, t := range p.cons[i].terms {
+		if t.Coef == 0 {
+			continue
 		}
+		a := math.Abs(t.Coef) * ws.colScale[t.Var]
+		if a < lo {
+			lo = a
+		}
+		if a > hi {
+			hi = a
+		}
+	}
+	if hi > 0 {
+		ws.rowScale[i] = 1 / math.Sqrt(lo*hi)
 	}
 }
 
@@ -372,11 +363,46 @@ func (ws *Workspace) applyScales() {
 	}
 }
 
-// startBasis sets up the initial point (structurals at their lower bound,
-// logicals at zero), installs each row's logical as basic where the
-// initial residual fits its bounds, and adds an artificial column (sign
-// matched to the residual, so it starts basic and feasible) elsewhere.
-func (ws *Workspace) startBasis(p *Problem) {
+// load is the first stage of every solve. It rebuilds ws's model of p —
+// the CSC matrix and rhs, equilibrated with fresh row scales from row
+// `from` on and, when from is 0, fresh column scales (a restart keeps the
+// scales its basis is expressed in) — sizes the column arrays, keeping
+// the first rows' entries, and installs the bounds. crash marks the cold
+// start: its artificial columns are counted (crashRows) before the arrays
+// are sized, so a fresh workspace sizes them once. Stats, scratch
+// vectors and the eta file start empty, and the basis awaits its
+// factorization.
+func (ws *Workspace) load(p *Problem, from int, crash bool) {
+	ws.solvedRows = -1 // invalidated until this solve succeeds
+	ws.stats = Stats{}
+	ws.build(p)
+	ws.computeScales(p, from)
+	ws.applyScales()
+	ws.artRow = ws.artRow[:0]
+	ws.artSign = ws.artSign[:0]
+	if crash {
+		ws.crashRows(p)
+	}
+	ws.nart = len(ws.artRow)
+	m, nc := ws.nrows, ws.ncols()
+	ws.lo = extend(ws.lo, nc)
+	ws.hi = extend(ws.hi, nc)
+	ws.cost = extend(ws.cost, nc)
+	ws.xval = extend(ws.xval, nc)
+	ws.status = extend(ws.status, nc)
+	ws.basis = extend(ws.basis, m)
+	ws.setBounds(p, from)
+	ws.stats.Rows, ws.stats.Cols = m, nc
+	ws.growScratch()
+	ws.resetEtas()
+	ws.needRefactor = true
+}
+
+// crashRows computes the initial residual b - A·lo of the crash point
+// (structurals at their lower bound, logicals at zero) into rhsd and
+// picks the rows whose logical cannot host it: each gets an artificial
+// column, sign matched to the residual so it starts basic and feasible.
+func (ws *Workspace) crashRows(p *Problem) {
 	n, m := ws.nstruct, ws.nrows
 	ws.rhsd = grow(ws.rhsd, m)
 	copy(ws.rhsd, ws.b[:m])
@@ -389,8 +415,6 @@ func (ws *Workspace) startBasis(p *Problem) {
 			ws.rhsd[ws.rowind[q]] -= ws.colval[q] * l
 		}
 	}
-	ws.artRow = ws.artRow[:0]
-	ws.artSign = ws.artSign[:0]
 	for i := 0; i < m; i++ {
 		r := ws.rhsd[i]
 		ok := false
@@ -411,15 +435,13 @@ func (ws *Workspace) startBasis(p *Problem) {
 			ws.artSign = append(ws.artSign, sign)
 		}
 	}
-	ws.nart = len(ws.artRow)
-	ncols := n + m + ws.nart
-	ws.lo = grow(ws.lo, ncols)
-	ws.hi = grow(ws.hi, ncols)
-	ws.cost = grow(ws.cost, ncols)
-	ws.xval = grow(ws.xval, ncols)
-	ws.status = grow(ws.status, ncols)
-	ws.basis = grow(ws.basis, m)
-	ws.setBounds(p, 0)
+}
+
+// startBasis installs the crash basis on the loaded model: structurals
+// nonbasic at their lower bound, each row's logical basic at the crash
+// residual, or nonbasic at zero behind the row's artificial.
+func (ws *Workspace) startBasis(p *Problem) {
+	n, m := ws.nstruct, ws.nrows
 	for j := 0; j < n; j++ {
 		ws.xval[j] = ws.lo[j]
 		ws.status[j] = nbLower
@@ -536,8 +558,8 @@ func (ws *Workspace) resetDevex() {
 }
 
 func (ws *Workspace) refactorLimit() int {
-	if ws.RefactorEvery > 0 {
-		return ws.RefactorEvery
+	if ws.refactorEvery > 0 {
+		return ws.refactorEvery
 	}
 	return 128
 }
@@ -1618,17 +1640,27 @@ func (ws *Workspace) purgeArtificials() {
 }
 
 // perturbCosts adds a tiny deterministic, status-aligned perturbation to
-// every structural and logical cost: columns resting at their lower bound
+// the structural and logical costs: columns resting at their lower bound
 // are nudged up, columns at their upper bound down, so reduced costs move
 // strictly away from zero and the current basis stays dual feasible. The
 // allotment LP is massively dual degenerate (every cost is zero except the
 // makespan's), which makes unperturbed Dantzig and dual ratio tests stall
-// on ties; the perturbation breaks every tie deterministically. polish()
-// removes it again before a solution is extracted.
-func (ws *Workspace) perturbCosts() {
+// on ties; the perturbation breaks every tie deterministically, and
+// PolishWith removes it again.
+//
+// basic perturbs the basic columns' costs too. The hot start leaves them
+// alone: perturbing a basic cost moves the duals and with them every
+// reduced cost, which would knock a transplanted optimal basis off
+// optimality and buy a storm of tiny corrective pivots. Perturbing only
+// nonbasic columns, away from their resting bound, keeps the transplanted
+// point exactly optimal while still breaking reduced-cost ties among the
+// columns that could enter.
+//
+//malsched:noalloc
+func (ws *Workspace) perturbCosts(basic bool) {
 	limit := ws.nstruct + ws.nrows
 	for j := 0; j < limit; j++ {
-		if ws.lo[j] == ws.hi[j] {
+		if ws.lo[j] == ws.hi[j] || !basic && ws.status[j] == stBasic {
 			continue
 		}
 		// Golden-ratio hash: deterministic, well spread, allocation free.
@@ -1643,18 +1675,6 @@ func (ws *Workspace) perturbCosts() {
 	}
 	ws.dFresh = false
 	ws.perturbed = true
-}
-
-// polish restores the true costs after a perturbed run and re-optimises;
-// the perturbed optimum is primal feasible and near-optimal, so this is
-// typically a handful of pivots.
-func (ws *Workspace) polish(p *Problem, maxIter int) (int, error) {
-	ws.setPhase2Cost(p)
-	ws.perturbed = false
-	if !ws.needRefactor {
-		ws.recomputeDuals()
-	}
-	return ws.primal(maxIter)
 }
 
 func (ws *Workspace) setPhase1Cost() {
@@ -1691,34 +1711,43 @@ func (ws *Workspace) extract(p *Problem) *Solution {
 	return &ws.sol
 }
 
+// pivotBudget is the iteration cap of a primal run on the loaded model.
+func (ws *Workspace) pivotBudget() int { return 200*(ws.nrows+ws.ncols()) + 2000 }
+
+// finish is the last stage of every successful solve: it refactorizes the
+// final basis, so the basic values carry no eta-file drift, records it as
+// the basis ReSolveWith, PolishWith and ExportBasis continue from, and
+// extracts the solution.
+func (ws *Workspace) finish(p *Problem) (*Solution, error) {
+	if err := ws.factorize(); err != nil {
+		return nil, err
+	}
+	ws.solvedVars, ws.solvedRows = p.nvars, len(p.cons)
+	return ws.extract(p), nil
+}
+
 // SolveWith runs the sparse revised simplex using ws's buffers (a nil ws
-// behaves like Solve). Aliasing contract: the returned Solution and its X
-// slice alias workspace memory and are overwritten by the next SolveWith
-// or ReSolveWith call on the same workspace; callers keeping results
-// across solves must copy them out (Problem.Solve does exactly that).
-// The problem itself is never modified, so it may be re-solved, rebuilt
-// or extended freely.
+// uses a fresh one) from the crash basis: phase 1 drives out the
+// artificials, phase 2 optimises the cost-perturbed objective, and the
+// returned Solution is an optimum of the perturbed costs (objective
+// error O(perturbScale)); PolishWith removes the perturbation, and Solve
+// does both. Aliasing contract: the returned Solution and its X slice
+// alias workspace memory and are overwritten by the next solve on the
+// same workspace; callers keeping results across solves must copy them
+// out (Problem.Solve does exactly that). The problem itself is never
+// modified, so it may be re-solved, rebuilt or extended freely.
 func (p *Problem) SolveWith(ws *Workspace) (*Solution, error) {
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	ws.solvedRows = -1 // invalidated until this solve succeeds
 	if p.nvars == 0 {
+		ws.solvedRows = -1
 		ws.sol = Solution{}
 		return &ws.sol, nil
 	}
-	ws.stats = Stats{}
-	ws.build(p)
-	ws.computeScales(p, 0)
-	ws.applyScales()
-	m := ws.nrows
+	ws.load(p, 0, true)
 	ws.startBasis(p)
-	ws.growScratch()
-	ws.resetEtas()
-	ws.needRefactor = true
-	ws.stats.Rows, ws.stats.Cols = m, ws.ncols()
-	maxIter := 200*(m+ws.ncols()) + 2000
-
+	maxIter := ws.pivotBudget()
 	if ws.nart > 0 {
 		ws.setPhase1Cost()
 		iters, err := ws.primal(maxIter)
@@ -1741,7 +1770,7 @@ func (p *Problem) SolveWith(ws *Workspace) (*Solution, error) {
 	}
 
 	ws.setPhase2Cost(p)
-	ws.perturbCosts()
+	ws.perturbCosts(true)
 	// The cost vector changed, so the maintained duals are stale. With a
 	// live factorization (post phase 1) recompute them now; otherwise the
 	// primal loop's first refresh will.
@@ -1753,52 +1782,28 @@ func (p *Problem) SolveWith(ws *Workspace) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !ws.DeferPolish {
-		iters, err = ws.polish(p, maxIter)
-		ws.stats.Phase2Iters += iters
-		if err != nil {
-			return nil, err
-		}
-	}
 	ws.purgeArtificials()
-	// Final hygiene: refactorize the purged basis and recompute the basic
-	// values without eta-file drift before extracting the solution.
-	if err := ws.factorize(); err != nil {
-		return nil, err
-	}
-	ws.solvedVars, ws.solvedRows = p.nvars, len(p.cons)
-	return ws.extract(p), nil
+	return ws.finish(p)
 }
 
 // ReSolveWith re-optimises after constraint rows were appended to p since
-// the last successful SolveWith/ReSolveWith on ws, warm-starting the dual
-// simplex from the previous optimal basis (which stays dual feasible
-// under row appends). Only appends are supported: the caller must not
-// have added variables, changed bounds, edited existing rows, or touched
-// the objective — any detectable mismatch, and any numerical failure of
-// the warm path, falls back to a cold SolveWith. The returned Solution
-// aliases workspace memory exactly like SolveWith.
+// the last successful solve on ws, warm-starting the dual simplex from
+// the previous optimal basis (which stays dual feasible under row
+// appends). Only appends are supported: the caller must not have added
+// variables, changed bounds, edited existing rows, or touched the
+// objective — any detectable mismatch, and any numerical failure of the
+// warm path, falls back to a cold SolveWith. The costs stay perturbed
+// while the previous solve left them so (its perturbation is re-applied
+// to the grown model) and exact after a PolishWith. The returned
+// Solution aliases workspace memory exactly like SolveWith.
 func (p *Problem) ReSolveWith(ws *Workspace) (*Solution, error) {
 	if ws == nil || ws.solvedRows < 0 || ws.solvedVars != p.nvars ||
-		len(p.cons) < ws.solvedRows || ws.nart != 0 || p.nvars == 0 {
+		len(p.cons) < ws.solvedRows || p.nvars == 0 {
 		return p.SolveWith(ws)
 	}
 	oldRows := ws.solvedRows
-	ws.solvedRows = -1
-	ws.stats = Stats{}
-	ws.build(p) // refreshes the CSC matrix with the appended rows' entries
-	ws.computeScales(p, oldRows)
-	ws.applyScales()
+	ws.load(p, oldRows, false) // structurals unchanged by contract but rescaled
 	n, m := ws.nstruct, ws.nrows
-	ncols := n + m
-	ws.stats.Rows, ws.stats.Cols = m, ncols
-	ws.lo = extend(ws.lo, ncols)
-	ws.hi = extend(ws.hi, ncols)
-	ws.cost = extend(ws.cost, ncols)
-	ws.xval = extend(ws.xval, ncols)
-	ws.status = extend(ws.status, ncols)
-	ws.basis = extend(ws.basis, m)
-	ws.setBounds(p, oldRows) // structurals unchanged by contract but rescaled
 	ws.setPhase2Cost(p)
 	// Each appended row's logical enters the basis at the row's current
 	// activity residual; bound violations there are the dual's work list.
@@ -1813,68 +1818,55 @@ func (p *Problem) ReSolveWith(ws *Workspace) (*Solution, error) {
 		ws.xval[s] = resid
 	}
 	if ws.perturbed {
-		ws.perturbCosts() // status-aligned, so still dual feasible
+		ws.perturbCosts(true) // status-aligned, so still dual feasible
 	}
-	ws.growScratch()
-	ws.needRefactor = true
 	// The dual restart should need on the order of one pivot per appended
-	// row (plus knock-on repairs), but after a polish the re-perturbed
-	// costs can demand work unrelated to the append count, and the cold
-	// solve below costs tens of thousands of pivots — so the budget keeps
-	// a full O(m) of headroom before declaring degenerate thrashing.
-	maxIter := 2000 + 40*(m-oldRows) + 2*m
-	iters, err := ws.dual(maxIter)
+	// row (plus knock-on repairs), but degenerate ties can demand work
+	// unrelated to the append count, and the cold solve below costs tens
+	// of thousands of pivots — so the budget keeps a full O(m) of headroom
+	// before declaring degenerate thrashing.
+	iters, err := ws.dual(2000 + 40*(m-oldRows) + 2*m)
 	ws.stats.Phase2Iters = iters
-	if err == nil && !ws.DeferPolish {
-		iters, err = ws.polish(p, maxIter)
-		ws.stats.Phase2Iters += iters
+	if err == ErrInfeasible || err == ErrCanceled {
+		// Infeasibility is a fact about the problem; cancellation must
+		// not trigger a full cold solve. Neither falls back.
+		return nil, err
 	}
-	if err != nil {
-		if err == ErrInfeasible || err == ErrCanceled {
-			// Infeasibility is a fact about the problem; cancellation must
-			// not trigger a full cold solve. Neither falls back.
-			return nil, err
+	if err == nil {
+		if sol, err := ws.finish(p); err == nil {
+			return sol, nil
 		}
-		return p.SolveWith(ws) // numerical trouble: cold restart is sound
 	}
-	if err := ws.factorize(); err != nil {
-		return p.SolveWith(ws)
-	}
-	ws.solvedVars, ws.solvedRows = p.nvars, len(p.cons)
-	return ws.extract(p), nil
+	return p.SolveWith(ws) // numerical trouble: cold restart is sound
 }
 
-// PolishWith removes the deferred cost perturbation from the last
-// DeferPolish solve on ws: it restores the true objective, re-optimises
-// from the current (near-optimal, primal feasible) basis and extracts an
-// exact optimum. Without a matching prior solve it falls back to a cold
-// SolveWith first. The returned Solution aliases workspace memory exactly
-// like SolveWith.
+// PolishWith removes the cost perturbation the last solve on ws left: it
+// restores the true objective, re-optimises from the current
+// (near-optimal, primal feasible) basis and extracts an exact optimum.
+// Iterating callers — the lazy cut loop in internal/allot — select cuts
+// on the perturbed optima and polish once, at the end, instead of
+// re-fighting the degenerate final pivots every round. Without a
+// matching prior solve it solves cold first. The returned Solution
+// aliases workspace memory exactly like SolveWith.
 func (p *Problem) PolishWith(ws *Workspace) (*Solution, error) {
 	if ws == nil {
 		ws = NewWorkspace()
 	}
-	if p.nvars == 0 {
-		ws.sol = Solution{}
-		return &ws.sol, nil
-	}
-	if ws.solvedRows != len(p.cons) || ws.solvedVars != p.nvars || ws.nart != 0 {
-		if _, err := p.SolveWith(ws); err != nil {
-			return nil, err
+	if p.nvars == 0 || ws.solvedRows != len(p.cons) || ws.solvedVars != p.nvars {
+		if sol, err := p.SolveWith(ws); err != nil || p.nvars == 0 {
+			return sol, err
 		}
 	}
 	ws.solvedRows = -1
-	maxIter := 200*(ws.nrows+ws.ncols()) + 2000
-	iters, err := ws.polish(p, maxIter)
+	ws.setPhase2Cost(p)
+	ws.perturbed = false
+	ws.recomputeDuals() // the prior solve's finish left a fresh factorization
+	iters, err := ws.primal(ws.pivotBudget())
 	ws.stats.Phase2Iters += iters
 	if err != nil {
 		return nil, err
 	}
-	if err := ws.factorize(); err != nil {
-		return nil, err
-	}
-	ws.solvedVars, ws.solvedRows = p.nvars, len(p.cons)
-	return ws.extract(p), nil
+	return ws.finish(p)
 }
 
 // extend returns s resized to n, preserving existing contents (unlike

@@ -236,7 +236,7 @@ func TestReSolveWarmMatchesCold(t *testing.T) {
 // basic-value recomputation paths densely.
 func TestForcedRefactorization(t *testing.T) {
 	tight := NewWorkspace()
-	tight.RefactorEvery = 1
+	tight.refactorEvery = 1
 	for seed := int64(0); seed < 40; seed++ {
 		r := rand.New(rand.NewSource(2000 + seed))
 		p := NewProblem()
@@ -259,23 +259,26 @@ func TestForcedRefactorization(t *testing.T) {
 	}
 }
 
-// TestDeferPolishMatchesDirect checks the deferred-perturbation protocol:
-// DeferPolish solves followed by PolishWith must land on the exact
-// optimum a direct solve produces.
+// TestDeferPolishMatchesDirect checks the deferred-perturbation protocol
+// on one workspace reused across problems: SolveWith returns an optimum of
+// the perturbed costs, near the true one, and PolishWith then lands on
+// the exact optimum Solve produces.
 func TestDeferPolishMatchesDirect(t *testing.T) {
+	ws := NewWorkspace()
 	for seed := int64(0); seed < 40; seed++ {
 		r := rand.New(rand.NewSource(3000 + seed))
 		p := NewProblem()
 		buildBoundedLP(p, r, 2+r.Intn(7), 1+r.Intn(6))
 		direct, errD := p.Solve()
-		ws := NewWorkspace()
-		ws.DeferPolish = true
-		_, errS := p.SolveWith(ws)
+		deferred, errS := p.SolveWith(ws)
 		if (errS == nil) != (errD == nil) {
 			t.Fatalf("seed %d: deferred err=%v direct err=%v", seed, errS, errD)
 		}
 		if errD != nil {
 			continue
+		}
+		if math.Abs(deferred.Obj-direct.Obj) > 1e-6*(1+math.Abs(direct.Obj)) {
+			t.Errorf("seed %d: perturbed obj %v far from direct %v", seed, deferred.Obj, direct.Obj)
 		}
 		polished, err := p.PolishWith(ws)
 		if err != nil {

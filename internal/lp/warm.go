@@ -1,6 +1,9 @@
 package lp
 
-import "math"
+import (
+	"errors"
+	"math"
+)
 
 // Basis is a transplantable snapshot of a simplex basis: the per-column
 // status vector of an optimal basis, structural columns first, then one
@@ -25,7 +28,7 @@ type Basis struct {
 // the workspace holds no valid solved basis. The snapshot copies the
 // status vector, so it remains valid after ws is reused.
 func (ws *Workspace) ExportBasis() *Basis {
-	if ws.solvedRows < 0 || ws.nart != 0 || ws.solvedVars != ws.nstruct || ws.solvedRows != ws.nrows {
+	if ws.solvedRows < 0 || ws.solvedVars != ws.nstruct || ws.solvedRows != ws.nrows {
 		return nil
 	}
 	nc := ws.nstruct + ws.nrows
@@ -34,33 +37,11 @@ func (ws *Workspace) ExportBasis() *Basis {
 	return &Basis{Status: st, NVars: ws.nstruct, NRows: ws.nrows}
 }
 
-// perturbCostsNonbasic is the hot-start flavour of perturbCosts: it
-// leaves basic costs alone. Perturbing a basic cost moves the duals and
-// with them every reduced cost, so the full perturbation would knock a
-// transplanted optimal basis off optimality and buy a storm of tiny
-// corrective pivots. Perturbing only nonbasic columns, away from their
-// resting bound, keeps the transplanted point exactly optimal while
-// still breaking reduced-cost ties among the columns that could enter.
-//
-//malsched:noalloc
-func (ws *Workspace) perturbCostsNonbasic() {
-	limit := ws.nstruct + ws.nrows
-	for j := 0; j < limit; j++ {
-		if ws.lo[j] == ws.hi[j] || ws.status[j] == stBasic {
-			continue
-		}
-		u := float64(j)*0.6180339887498949 + 0.5
-		u -= math.Floor(u) // golden-ratio hash in [0, 1), as perturbCosts
-		eps := perturbScale * (1 + math.Abs(ws.cost[j])) * (0.5 + 0.5*u)
-		if ws.status[j] == nbUpper {
-			ws.cost[j] -= eps
-		} else {
-			ws.cost[j] += eps
-		}
-	}
-	ws.dFresh = false
-	ws.perturbed = true
-}
+// errBasisMismatch reports a basis that does not fit the problem handed
+// to SolveHotWith: another variable or row count, a status outside the
+// encoding, a nonbasic column with no finite bound to rest on, or a
+// basic count other than the row count.
+var errBasisMismatch = errors.New("lp: basis does not fit the problem's layout")
 
 // SolveHotWith solves p starting from a transplanted basis instead of the
 // crash basis, for problems with the same layout as the basis's origin
@@ -82,11 +63,12 @@ func (ws *Workspace) perturbCostsNonbasic() {
 //     step 3, which is exactly the dual's starting requirement).
 //
 // When the basis comes from a near-identical instance, steps 3 and 4 take
-// a handful of pivots each instead of the cold solve's thousands. Any
-// mismatch between p and the basis, and any numerical failure of the warm
-// path, falls back to a cold SolveWith — SolveHotWith never fails where
-// SolveWith would succeed. DeferPolish is honoured exactly like SolveWith.
-// The returned Solution aliases workspace memory exactly like SolveWith.
+// a handful of pivots each instead of the cold solve's thousands. Like
+// every solve it returns an optimum of the perturbed costs, for PolishWith
+// to make exact. A basis that does not fit p, and any numerical failure
+// of the warm path, is an error: the caller restarts cold (SolveWith), as
+// allot.SolveLPFrom does for every failed warm start. The returned
+// Solution aliases workspace memory exactly like SolveWith.
 //
 //malsched:noalloc
 func (p *Problem) SolveHotWith(ws *Workspace, bas *Basis) (*Solution, error) {
@@ -95,30 +77,16 @@ func (p *Problem) SolveHotWith(ws *Workspace, bas *Basis) (*Solution, error) {
 	}
 	if bas == nil || bas.NVars != p.nvars || bas.NRows != len(p.cons) ||
 		len(bas.Status) != bas.NVars+bas.NRows || p.nvars == 0 {
-		return p.SolveWith(ws)
+		ws.solvedRows = -1
+		return nil, errBasisMismatch
 	}
-	ws.solvedRows = -1
-	ws.stats = Stats{}
-	ws.build(p)
-	ws.computeScales(p, 0)
-	ws.applyScales()
+	ws.load(p, 0, false)
 	n, m := ws.nstruct, ws.nrows
-	ws.nart = 0
-	ws.artRow = ws.artRow[:0]
-	ws.artSign = ws.artSign[:0]
 	ncols := n + m
-	ws.lo = grow(ws.lo, ncols)
-	ws.hi = grow(ws.hi, ncols)
-	ws.cost = grow(ws.cost, ncols)
-	ws.xval = grow(ws.xval, ncols)
-	ws.status = grow(ws.status, ncols)
-	ws.basis = grow(ws.basis, m)
-	ws.setBounds(p, 0)
 	// Transplant the statuses. Nonbasic columns rest on a finite bound;
 	// where the snapshot's resting side is infinite under p's bounds (a
 	// bound became infinite, or row senses differ from the origin), snap
-	// to the other side, and give up on a free column — the crash basis
-	// handles those.
+	// to the other side; a free column does not fit.
 	nbasic := 0
 	for j := 0; j < ncols; j++ {
 		st := bas.Status[j]
@@ -135,7 +103,7 @@ func (p *Problem) SolveHotWith(ws *Workspace, bas *Basis) (*Solution, error) {
 				st = nbLower
 			}
 			if st == nbLower && math.IsInf(ws.lo[j], -1) {
-				return p.SolveWith(ws)
+				return nil, errBasisMismatch
 			}
 			ws.status[j] = st
 			if st == nbLower {
@@ -144,11 +112,11 @@ func (p *Problem) SolveHotWith(ws *Workspace, bas *Basis) (*Solution, error) {
 				ws.xval[j] = ws.hi[j]
 			}
 		default:
-			return p.SolveWith(ws)
+			return nil, errBasisMismatch
 		}
 	}
 	if nbasic != m {
-		return p.SolveWith(ws)
+		return nil, errBasisMismatch
 	}
 	k := 0
 	for j := 0; j < ncols; j++ {
@@ -157,17 +125,14 @@ func (p *Problem) SolveHotWith(ws *Workspace, bas *Basis) (*Solution, error) {
 			k++
 		}
 	}
-	ws.growScratch()
-	ws.resetEtas()
 	ws.setPhase2Cost(p)
-	ws.stats.Rows, ws.stats.Cols = m, ncols
-	maxIter := 200*(m+ncols) + 2000
+	maxIter := ws.pivotBudget()
 	if err := ws.factorize(); err != nil {
 		if err == ErrSingular {
 			err = ws.repairSingular()
 		}
 		if err != nil {
-			return p.SolveWith(ws)
+			return nil, err
 		}
 	}
 	// Bound shift: relax each out-of-bounds basic variable's violated
@@ -188,12 +153,12 @@ func (p *Problem) SolveHotWith(ws *Workspace, bas *Basis) (*Solution, error) {
 			ws.hi[j] = x
 		}
 	}
-	ws.perturbCostsNonbasic()
+	ws.perturbCosts(false)
 	ws.recomputeDuals()
 	iters, err := ws.primal(maxIter)
 	ws.stats.Phase2Iters = iters
 	if err != nil {
-		return p.SolveWith(ws)
+		return nil, err
 	}
 	if len(ws.shiftIdx) > 0 {
 		// Restore the true bounds. Nonbasic columns resting on a shifted
@@ -219,19 +184,8 @@ func (p *Problem) SolveHotWith(ws *Workspace, bas *Basis) (*Solution, error) {
 		iters, err = ws.dual(maxIter)
 		ws.stats.Phase2Iters += iters
 		if err != nil {
-			return p.SolveWith(ws)
+			return nil, err
 		}
 	}
-	if !ws.DeferPolish {
-		iters, err = ws.polish(p, maxIter)
-		ws.stats.Phase2Iters += iters
-		if err != nil {
-			return p.SolveWith(ws)
-		}
-	}
-	if err := ws.factorize(); err != nil {
-		return p.SolveWith(ws)
-	}
-	ws.solvedVars, ws.solvedRows = p.nvars, len(p.cons)
-	return ws.extract(p), nil
+	return ws.finish(p)
 }

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -108,8 +109,10 @@ func TestSolveHotIdenticalProblem(t *testing.T) {
 	}
 }
 
-// TestSolveHotFallsBack: structural mismatches between problem and basis
-// must degrade to a correct cold solve, never fail.
+// TestSolveHotFallsBack: a basis that does not fit the problem must fail
+// the hot start with the layout error, and leave the workspace for the
+// caller's cold restart: SolveWith on the same workspace must then reach
+// the optimum.
 func TestSolveHotFallsBack(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	p := NewProblem()
@@ -120,11 +123,21 @@ func TestSolveHotFallsBack(t *testing.T) {
 	}
 	check := func(name string, bas *Basis) {
 		t.Helper()
-		got, err := p.SolveHotWith(NewWorkspace(), bas)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+		ws := NewWorkspace()
+		if _, err := p.SolveHotWith(ws, bas); !errors.Is(err, errBasisMismatch) {
+			t.Fatalf("%s: hot start returned %v, want the layout error", name, err)
 		}
-		if math.Abs(got.Obj-want.Obj) > 1e-6*(1+math.Abs(want.Obj)) {
+		if bas := ws.ExportBasis(); bas != nil {
+			t.Errorf("%s: failed hot start left a basis to export", name)
+		}
+		got, err := p.SolveWith(ws)
+		if err == nil {
+			got, err = p.PolishWith(ws)
+		}
+		if err != nil {
+			t.Fatalf("%s: cold restart: %v", name, err)
+		}
+		if math.Abs(got.Obj-want.Obj) > 1e-9*(1+math.Abs(want.Obj)) {
 			t.Errorf("%s: objective %v != cold %v", name, got.Obj, want.Obj)
 		}
 	}
@@ -238,7 +251,7 @@ func TestExportBasisInvalid(t *testing.T) {
 	}
 }
 
-// TestSolveHotDeferPolish: under DeferPolish the hot solve must behave
+// TestSolveHotDeferPolish: the hot solve leaves the cost perturbation
 // like SolveWith — perturbed answer first, exact after PolishWith.
 func TestSolveHotDeferPolish(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
@@ -255,7 +268,6 @@ func TestSolveHotDeferPolish(t *testing.T) {
 		t.Fatal(err)
 	}
 	hws := NewWorkspace()
-	hws.DeferPolish = true
 	if _, err := edited.SolveHotWith(hws, bas); err != nil {
 		t.Fatal(err)
 	}

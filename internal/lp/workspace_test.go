@@ -37,7 +37,9 @@ func buildRandomBoundedLP(p *Problem, r *rand.Rand, n, mrows int) {
 }
 
 // TestSolveWithMatchesSolve reuses one workspace across many different
-// problems and checks the results are identical to fresh solves.
+// problems and checks that SolveWith then PolishWith there is identical
+// to Solve on a fresh workspace: the reused workspace carries nothing
+// from one solve to the next.
 func TestSolveWithMatchesSolve(t *testing.T) {
 	ws := NewWorkspace()
 	for seed := int64(0); seed < 40; seed++ {
@@ -46,6 +48,9 @@ func TestSolveWithMatchesSolve(t *testing.T) {
 		p := randomBoundedLP(seed, n, mrows)
 		fresh, errF := p.Solve()
 		reused, errR := p.SolveWith(ws)
+		if errR == nil {
+			reused, errR = p.PolishWith(ws)
+		}
 		if (errF == nil) != (errR == nil) {
 			t.Fatalf("seed %d: fresh err=%v reused err=%v", seed, errF, errR)
 		}
