@@ -54,12 +54,14 @@ func agreeLP(t *testing.T, what string, got, want *Solution, errG, errW error, r
 }
 
 // FuzzLP runs the lazy cut loop's lifecycle on one workspace — SolveWith,
-// appended rows, ReSolveWith, PolishWith — over a random bounded LP drawn
-// from (seed, variables, rows, appended rows), and checks it against a
-// fresh Solve of the final problem and against the dense tableau. It then
-// hot-starts a perturbed copy from the exported basis: a success must
-// polish to Solve's optimum, and a failure must leave the workspace to a
-// clean cold restart, never reject the layout it came from.
+// then two rounds of appended rows, ReSolveWith and PolishWith, the first
+// restarting from the perturbed optimum and the second from the polished
+// one — over a random bounded LP drawn from (seed, variables, rows,
+// appended rows per round), and checks it against a fresh Solve of the
+// final problem and against the dense tableau. It then hot-starts a
+// perturbed copy from the exported basis: a success must polish to
+// Solve's optimum, and a failure must leave the workspace to a clean cold
+// restart, never reject the layout it came from.
 func FuzzLP(f *testing.F) {
 	f.Add(int64(1), uint8(6), uint8(4), uint8(3))   // GE/EQ rows: phase 1 runs on an artificial
 	f.Add(int64(6), uint8(5), uint8(3), uint8(2))   // the appends empty the feasible region
@@ -69,15 +71,17 @@ func FuzzLP(f *testing.F) {
 		p := NewProblem()
 		buildBoundedLP(p, r, 1+int(nv%12), int(rows%10))
 		ws := NewWorkspace()
-		first, err := p.SolveWith(ws)
-		if err == nil {
-			for k := 0; k < int(extra%6); k++ {
-				appendCut(p, r, first.X)
+		got, err := p.SolveWith(ws)
+		for round := 0; round < 2; round++ {
+			if err == nil {
+				for k := 0; k < int(extra%6); k++ {
+					appendCut(p, r, got.X)
+				}
 			}
-		}
-		got, err := p.ReSolveWith(ws)
-		if err == nil {
-			got, err = p.PolishWith(ws)
+			got, err = p.ReSolveWith(ws)
+			if err == nil {
+				got, err = p.PolishWith(ws)
+			}
 		}
 		want, errW := p.Solve()
 		agreeLP(t, "lifecycle against Solve", got, want, err, errW, 1e-9)
@@ -97,20 +101,11 @@ func FuzzLP(f *testing.F) {
 		}
 		q := perturbNumbers(p, r, 1e-3)
 		want, errW = q.Solve()
-		hws := NewWorkspace()
-		got, err = q.SolveHotWith(hws, bas)
-		if errors.Is(err, errBasisMismatch) {
-			t.Fatalf("hot start rejected the layout of its own problem's basis")
+		got, hot, err := solveHot(t, q, NewWorkspace(), bas)
+		what := "polished hot start against Solve"
+		if !hot {
+			what = "cold restart after a failed hot start"
 		}
-		if err == nil {
-			got, err = q.PolishWith(hws)
-			agreeLP(t, "polished hot start against Solve", got, want, err, errW, 1e-9)
-			return
-		}
-		got, err = q.SolveWith(hws)
-		if err == nil {
-			got, err = q.PolishWith(hws)
-		}
-		agreeLP(t, "cold restart after a failed hot start", got, want, err, errW, 1e-9)
+		agreeLP(t, what, got, want, err, errW, 1e-9)
 	})
 }

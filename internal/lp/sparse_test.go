@@ -60,10 +60,10 @@ func buildBoundedLP(p *Problem, r *rand.Rand, n, mrows int) {
 }
 
 // TestSparseMatchesDenseRandom is the core differential test: on random
-// bounded LPs the sparse revised simplex and the dense tableau reference
-// must agree on feasibility and on the optimal objective. Optimal
-// solutions need not be unique, so X is checked for feasibility rather
-// than equality.
+// bounded LPs the sparse revised simplex (SolveWith then PolishWith, on
+// one reused workspace) and the dense tableau reference must agree on
+// feasibility and on the optimal objective. Optimal solutions need not be
+// unique, so X is checked for feasibility rather than equality.
 func TestSparseMatchesDenseRandom(t *testing.T) {
 	ws := NewWorkspace()
 	dws := NewDenseWorkspace()
@@ -73,6 +73,9 @@ func TestSparseMatchesDenseRandom(t *testing.T) {
 		p := NewProblem()
 		buildBoundedLP(p, r, 2+r.Intn(8), 1+r.Intn(8))
 		sp, errS := p.SolveWith(ws)
+		if errS == nil {
+			sp, errS = p.PolishWith(ws)
+		}
 		dn, errD := p.SolveDenseWith(dws)
 		if (errS == nil) != (errD == nil) {
 			t.Fatalf("seed %d: sparse err=%v dense err=%v", seed, errS, errD)
@@ -192,48 +195,69 @@ func TestBoundsBasics(t *testing.T) {
 
 // TestReSolveWarmMatchesCold appends rows after an initial solve and
 // checks the dual warm restart lands on the same optimum as a cold solve
-// of the extended problem.
+// of the extended problem, from both of the states the cut loop restarts
+// from: a perturbed optimum (the restart re-perturbs the grown model and
+// PolishWith makes it exact) and a polished one (the restart runs on the
+// exact costs, as after a polish that exposed a violated line).
 func TestReSolveWarmMatchesCold(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
-		r := rand.New(rand.NewSource(1000 + seed))
-		n := 3 + r.Intn(6)
-		p := NewProblem()
-		vars := make([]int, n)
-		for i := range vars {
-			vars[i] = p.AddVar("")
-			p.SetObj(vars[i], 1+r.Float64()) // positive costs keep it bounded
-			p.SetBounds(vars[i], 0, 10)
-		}
-		for k := 0; k < n; k++ {
-			p.AddConstraint(GE, 1+4*r.Float64(), Term{vars[r.Intn(n)], 1}, Term{vars[r.Intn(n)], 1})
-		}
-		ws := NewWorkspace()
-		if _, err := p.SolveWith(ws); err != nil {
-			t.Fatalf("seed %d: initial solve: %v", seed, err)
-		}
-		// Append violated rows (they tighten the optimum).
-		extra := 1 + r.Intn(4)
-		for k := 0; k < extra; k++ {
-			p.AddConstraint(GE, 3+5*r.Float64(), Term{vars[r.Intn(n)], 1}, Term{vars[r.Intn(n)], 1})
-		}
-		warm, errW := p.ReSolveWith(ws)
-		cold, errC := p.Solve()
-		if (errW == nil) != (errC == nil) {
-			t.Fatalf("seed %d: warm err=%v cold err=%v", seed, errW, errC)
-		}
-		if errW != nil {
-			continue
-		}
-		if math.Abs(warm.Obj-cold.Obj) > 1e-6*(1+math.Abs(cold.Obj)) {
-			t.Errorf("seed %d: warm obj %v != cold obj %v", seed, warm.Obj, cold.Obj)
+		for _, polishFirst := range []bool{false, true} {
+			r := rand.New(rand.NewSource(1000 + seed))
+			n := 3 + r.Intn(6)
+			p := NewProblem()
+			vars := make([]int, n)
+			for i := range vars {
+				vars[i] = p.AddVar("")
+				p.SetObj(vars[i], 1+r.Float64()) // positive costs keep it bounded
+				p.SetBounds(vars[i], 0, 10)
+			}
+			for k := 0; k < n; k++ {
+				p.AddConstraint(GE, 1+4*r.Float64(), Term{vars[r.Intn(n)], 1}, Term{vars[r.Intn(n)], 1})
+			}
+			ws := NewWorkspace()
+			if _, err := p.SolveWith(ws); err != nil {
+				t.Fatalf("seed %d: initial solve: %v", seed, err)
+			}
+			if polishFirst {
+				if _, err := p.PolishWith(ws); err != nil {
+					t.Fatalf("seed %d: initial polish: %v", seed, err)
+				}
+			}
+			if ws.perturbed == polishFirst {
+				t.Fatalf("seed %d: perturbed=%v after polish=%v", seed, ws.perturbed, polishFirst)
+			}
+			// Append violated rows (they tighten the optimum).
+			extra := 1 + r.Intn(4)
+			for k := 0; k < extra; k++ {
+				p.AddConstraint(GE, 3+5*r.Float64(), Term{vars[r.Intn(n)], 1}, Term{vars[r.Intn(n)], 1})
+			}
+			warm, errW := p.ReSolveWith(ws)
+			if errW == nil && ws.perturbed == polishFirst {
+				t.Errorf("seed %d: restart left perturbed=%v after polish=%v", seed, ws.perturbed, polishFirst)
+			}
+			if errW == nil && !polishFirst {
+				warm, errW = p.PolishWith(ws)
+			}
+			cold, errC := p.Solve()
+			if (errW == nil) != (errC == nil) {
+				t.Fatalf("seed %d, polish first %v: warm err=%v cold err=%v", seed, polishFirst, errW, errC)
+			}
+			if errW != nil {
+				continue
+			}
+			if math.Abs(warm.Obj-cold.Obj) > 1e-9*(1+math.Abs(cold.Obj)) {
+				t.Errorf("seed %d, polish first %v: warm obj %v != cold obj %v", seed, polishFirst, warm.Obj, cold.Obj)
+			}
+			checkFeasible(t, p, warm.X, seed)
 		}
 	}
 }
 
-// TestForcedRefactorization solves random LPs with the eta file capped at
-// one update — a refactorization after every pivot — and checks the
-// results match the default configuration, exercising the LU rebuild and
-// basic-value recomputation paths densely.
+// TestForcedRefactorization solves and polishes random LPs with the eta
+// file capped at one update — a refactorization after every pivot, the
+// polish's pivots included — and checks the results match the default
+// configuration, exercising the LU rebuild and basic-value recomputation
+// paths densely.
 func TestForcedRefactorization(t *testing.T) {
 	tight := NewWorkspace()
 	tight.refactorEvery = 1
@@ -243,6 +267,9 @@ func TestForcedRefactorization(t *testing.T) {
 		buildBoundedLP(p, r, 2+r.Intn(7), 1+r.Intn(6))
 		a, errA := p.Solve()
 		b, errB := p.SolveWith(tight)
+		if errB == nil {
+			b, errB = p.PolishWith(tight)
+		}
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("seed %d: default err=%v refactor-every-pivot err=%v", seed, errA, errB)
 		}

@@ -71,7 +71,10 @@ func TestSolveWithMatchesSolve(t *testing.T) {
 	}
 }
 
-// TestSolveWithNilWorkspace checks SolveWith(nil) behaves like Solve.
+// TestSolveWithNilWorkspace checks the nil workspace: SolveWith(nil)
+// solves like Solve's first stage, to an optimum of the perturbed costs
+// within the perturbation's reach of Solve's, and PolishWith(nil), which
+// solves cold and polishes on a fresh workspace, is Solve exactly.
 func TestSolveWithNilWorkspace(t *testing.T) {
 	p := randomBoundedLP(7, 4, 3)
 	a, err1 := p.Solve()
@@ -79,8 +82,15 @@ func TestSolveWithNilWorkspace(t *testing.T) {
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
 	}
-	if a.Obj != b.Obj {
-		t.Errorf("obj %v != %v", a.Obj, b.Obj)
+	if math.Abs(a.Obj-b.Obj) > 1e-6*(1+math.Abs(a.Obj)) {
+		t.Errorf("SolveWith(nil) obj %v far from Solve's %v", b.Obj, a.Obj)
+	}
+	c, err := p.PolishWith(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Obj != c.Obj || a.Stats != c.Stats {
+		t.Errorf("PolishWith(nil) obj %v, stats %+v != Solve's %v, %+v", c.Obj, c.Stats, a.Obj, a.Stats)
 	}
 }
 
@@ -139,21 +149,22 @@ func TestSolutionAliasesWorkspace(t *testing.T) {
 	}
 }
 
-// TestSolveWithNearZeroAllocs verifies the headline property: re-solving a
-// same-shaped problem through a warm workspace performs no allocation
-// inside the solver.
+// TestSolveWithNearZeroAllocs verifies the headline property: re-solving
+// and polishing a same-shaped problem through a warm workspace performs
+// no allocation inside the solver.
 func TestSolveWithNearZeroAllocs(t *testing.T) {
 	p := randomBoundedLP(11, 6, 5)
 	ws := NewWorkspace()
-	if _, err := p.SolveWith(ws); err != nil { // warm-up growth
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
+	solve := func() {
 		if _, err := p.SolveWith(ws); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 0 {
-		t.Errorf("warm SolveWith allocates %v objects per run, want 0", allocs)
+		if _, err := p.PolishWith(ws); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solve() // warm-up growth
+	if allocs := testing.AllocsPerRun(20, solve); allocs > 0 {
+		t.Errorf("warm SolveWith + PolishWith allocates %v objects per run, want 0", allocs)
 	}
 }
